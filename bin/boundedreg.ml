@@ -812,8 +812,12 @@ let fleet_cmd =
         Format.printf "fleet: batch=%d swarm=%b@." batch (not no_swarm);
         emit_meta ~seed ~jobs ();
         let r =
-          Msgpass.Fleet.campaign ?budget ?generations ~jobs ~batch
-            ~swarm:(not no_swarm) ?corpus_dir:corpus ~seed config
+          try
+            Msgpass.Fleet.campaign ?budget ?generations ~jobs ~batch
+              ~swarm:(not no_swarm) ?corpus_dir:corpus ~seed config
+          with Msgpass.Fleet.Corpus_error e ->
+            Format.eprintf "fleet: corpus does not load: %s@." e;
+            exit 1
         in
         Format.printf "%a@." Msgpass.Fleet.pp_report r;
         let witnesses = List.length r.Msgpass.Fleet.witnesses in

@@ -138,8 +138,33 @@ let churn_frontier ?(n = 8) ?(seed_members = 4) () =
 
 let validate config =
   let err fmt = Printf.ksprintf (fun e -> Error e) fmt in
+  let static = config.membership = None in
   if config.n <= 0 then err "n must be positive (got %d)" config.n
+  else if config.n > Net.max_slots then
+    err "n %d exceeds the network's %d slots" config.n Net.max_slots
   else if config.t < 0 then err "t must be non-negative (got %d)" config.t
+  else if
+    config.writes < 0 || config.readers < 0 || config.reads < 0
+    || config.crashes < 0
+  then
+    err
+      "writes, readers, reads and crashes must be non-negative (got %d, %d, \
+       %d, %d)"
+      config.writes config.readers config.reads config.crashes
+  else if static && config.quorum = None && 2 * config.t >= config.n then
+    err "t = %d needs t < n/2 (n = %d) for the sound quorum n - t" config.t
+      config.n
+  else if
+    static
+    && not
+         (Pack.fits_static ~registers:config.n ~writes:config.writes
+            ~max_ops:(max config.writes config.reads))
+  then
+    err
+      "writes %d / reads %d exceed the packed message layout (at most %d \
+       each)"
+      config.writes config.reads
+      (min Pack.max_op (min Pack.max_ts Pack.max_value))
   else
     match config.quorum with
     | Some q when q < 1 || q > config.n ->
@@ -193,87 +218,6 @@ type outcome = {
 
 let failed o =
   match o.verdict with L.Nonlinearizable _ -> true | L.Linearizable _ -> false
-
-(* The client fleet: ABD peers with operation scripts against register 0,
-   recording invocation/response events on a shared logical clock. Every
-   inv/res gets a fresh stamp, so the recorded real-time order is exactly
-   the callback order of the simulation. *)
-let build_static config =
-  let n = config.n in
-  let abds =
-    Array.init n (fun me ->
-        Abd.create ~n ~t:config.t ~me ?quorum:config.quorum ~registers:n
-          ~init:(fun _ -> 0)
-          ())
-  in
-  let stamp = ref 0 in
-  let now () =
-    incr stamp;
-    !stamp
-  in
-  let history = ref [] in
-  let pending : (int * [ `W of int | `R ]) option array = Array.make n None in
-  let scripts =
-    Array.init n (fun me ->
-        if me = 0 then ref (List.init config.writes (fun i -> `W (i + 1)))
-        else if me <= config.readers then
-          ref (List.init config.reads (fun _ -> `R))
-        else ref [])
-  in
-  let start_next me =
-    match !(scripts.(me)) with
-    | [] -> []
-    | op :: rest ->
-        scripts.(me) := rest;
-        pending.(me) <- Some (now (), op);
-        (match op with
-        | `W v -> Abd.begin_write abds.(me) ~reg:0 v
-        | `R -> Abd.begin_read abds.(me) ~reg:0)
-  in
-  let complete me c =
-    match pending.(me) with
-    | None -> ()
-    | Some (inv, kind) ->
-        pending.(me) <- None;
-        let op =
-          match (c, kind) with
-          | Abd.Wrote, `W v -> L.Write v
-          | Abd.Read_value v, `R -> L.Read v
-          | Abd.Wrote, `R -> L.Read 0
-          | Abd.Read_value v, `W _ -> L.Write v
-        in
-        history :=
-          { L.proc = me; reg = 0; op; inv; res = Some (now ()) } :: !history
-  in
-  let node me =
-    {
-      Net.on_start = (fun () -> start_next me);
-      on_message =
-        (fun ~from m ->
-          let outs = Abd.handle abds.(me) ~from m in
-          match Abd.take_completion abds.(me) with
-          | None -> outs
-          | Some c ->
-              complete me c;
-              outs @ start_next me);
-      on_leave = (fun () -> []);
-    }
-  in
-  let net = Net.create ~n ~nodes:node () in
-  let finalize () =
-    let tail = ref [] in
-    Array.iteri
-      (fun me p ->
-        match p with
-        | Some (inv, `W v) ->
-            tail := { L.proc = me; reg = 0; op = L.Write v; inv; res = None } :: !tail
-        | Some (inv, `R) ->
-            tail := { L.proc = me; reg = 0; op = L.Read 0; inv; res = None } :: !tail
-        | None -> ())
-      pending;
-    List.rev_append !history !tail
-  in
-  (net, finalize)
 
 (* The dynamic client fleet: Dynreg peers over a churning membership.
    Slots [0 .. seed_members - 1] are seeded (writer 0, readers 1..);
@@ -372,43 +316,32 @@ let build_dyn config dyn =
   in
   (net, finalize)
 
-(* The static and dynamic fleets speak different message types; the
-   drivers below only ever wrap the network in the fault layer and call
-   the finalizer, so the type packs away. *)
-type built = Built : 'm Net.t * (unit -> int L.event list) -> built
-
-let build config =
-  match config.membership with
-  | None ->
-      let net, finalize = build_static config in
-      Built (net, finalize)
-  | Some dyn ->
-      let net, finalize = build_dyn config dyn in
-      Built (net, finalize)
-
 (* ------------------------------------------------------------------ *)
-(* The packed static fleet.
+(* The static fleet.
 
-   [build_static] above allocates a fresh boxed fleet per run — Abd
-   records, closure lists, message constructors — which dominates the
-   campaign hot path. This builder is its allocation-free twin for the
-   static (no-membership) configuration: the entire ABD protocol state
-   lives in flat int arrays indexed by pid (and [pid * n + reg] for the
-   register copies), messages are {!Pack}ed immediate ints pushed
-   straight into the arena network, and the history is recorded in
-   growable int columns. Instances are pooled per domain and per config:
-   a run is [reset] (fill the arrays, rewind the recorder, re-run the
-   start scripts) rather than a rebuild, so the steady-state cost of a
-   chaos run is the fault loop itself.
+   ABD peers with operation scripts against register 0 — pid 0 writes
+   values [1..writes], pids [1..readers] run sequential reads — with
+   every invocation and response stamped on a shared logical clock, so
+   the recorded real-time order is exactly the callback order of the
+   simulation. The protocol is the [Abd] state machine flattened for
+   the hot path: all of its state lives in int arrays indexed by pid
+   (and [pid * n + reg] for the register copies), messages are {!Pack}ed
+   immediate ints pushed straight into the arena network, and the
+   history is recorded in growable int columns. Instances are pooled per
+   domain and per config: a run is [reset] (fill the arrays, rewind the
+   recorder, re-run the start scripts) rather than a rebuild, so the
+   steady-state cost of a chaos run is the fault loop itself.
 
-   Observable equivalence with [build_static] is exact and is what the
-   differential tests in test_msgpass pin down: same send orders (a
-   handler's replies before the completion-triggered next script op, as
-   the boxed [outs @ start_next me] enqueued), same logical-clock
-   stamps, same history — including the quorum tie-break, where the
-   boxed fold over the newest-first reply list keeps the latest-arrived
-   reply among maximal timestamps, reproduced here by the incremental
-   [ts >= best_ts] replacement rule. *)
+   Its oracle is a boxed build over [Abd] records (test/oracles/boxed.ml):
+   a qcheck differential there requires identical plans, histories,
+   counts, verdicts and hop masks from both. The subtle points it pins:
+   a handler's replies are sent before the completion-triggered next
+   script operation (the boxed [outs @ start_next me]); the response
+   stamp precedes the next invocation stamp; the quorum tie-break keeps
+   the latest-arrived reply among maximal timestamps (the boxed fold
+   over a newest-first reply list), reproduced here by the incremental
+   [ts >= best_ts] replacement rule; and still-pending operations close
+   the history in ascending pid order. *)
 
 (* Growable parallel int columns holding completed operations in
    completion order: (proc, write?, value, inv stamp, res stamp). *)
@@ -455,13 +388,11 @@ let ph_collecting = 2
 let ph_writing_back = 3
 
 let packed_create config =
-  (* The same construction-time validation [Abd.create] performs, with
-     the same error, so swapping builders never changes what raises. *)
-  (match config.quorum with
-  | Some _ -> ()
-  | None ->
-      if config.t < 0 || 2 * config.t >= config.n then
-        invalid_arg "Abd.create: need 0 <= t < n/2");
+  (* Once per pooled config: past [validate], every message field fits
+     the unchecked {!Pack} encoders. *)
+  (match validate config with
+  | Error e -> invalid_arg ("Chaos: " ^ e)
+  | Ok _ -> ());
   let n = config.n in
   let quorum = Option.value config.quorum ~default:(n - config.t) in
   let nn = n * n in
@@ -682,13 +613,6 @@ let packed_create config =
 let pool : (config, packed) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let packable config =
-  config.membership = None
-  && config.n >= 1 && config.n <= 61 && config.writes >= 0
-  && config.readers >= 0 && config.reads >= 0
-  && Pack.fits_static ~registers:config.n ~writes:config.writes
-       ~max_ops:(max config.writes config.reads)
-
 let packed_acquire config =
   let tbl = Domain.DLS.get pool in
   let p =
@@ -703,18 +627,18 @@ let packed_acquire config =
   p
 
 (* Every driver below funnels through [prepare]: the pooled packed fleet
-   when the static configuration fits the packed message layout, the
-   boxed per-run build otherwise (dynamic membership, or out-of-layout
-   parameters). *)
+   for static configs, a fresh Dynreg build for dynamic ones. The two
+   speak different message types, so the type packs away. *)
 type prepared = Prepared : 'm Faults.t * (unit -> int L.event list) -> prepared
 
 let prepare config =
-  if packable config then
-    let p = packed_acquire config in
-    Prepared (p.q_ft, p.q_finalize)
-  else
-    let (Built (net, finalize)) = build config in
-    Prepared (Faults.wrap net, finalize)
+  match config.membership with
+  | None ->
+      let p = packed_acquire config in
+      Prepared (p.q_ft, p.q_finalize)
+  | Some dyn ->
+      let net, finalize = build_dyn config dyn in
+      Prepared (Faults.wrap net, finalize)
 
 let outcome_of ?rng_point ft finalize =
   let history = finalize () in

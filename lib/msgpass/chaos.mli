@@ -47,9 +47,9 @@ type config = {
   profile : Faults.profile;
   max_events : int;
   membership : dyn option;
-      (** [None]: the static ABD fleet. [Some]: the dynamic {!Dynreg}
-          fleet ([t] and [quorum] are then unused — quorums come from
-          views). *)
+      (** [None]: the static ABD fleet, pooled and {!Pack}ed. [Some]: the
+          dynamic {!Dynreg} fleet ([t] and [quorum] are then unused —
+          quorums come from views). *)
 }
 
 val sound : ?n:int -> ?t:int -> unit -> config
@@ -82,12 +82,16 @@ val churn_frontier : ?n:int -> ?seed_members:int -> unit -> config
     about to leave, then invisible to a plain majority of survivors. *)
 
 val validate : config -> (config * string list, string) result
-(** Construction-time validation. [Error] for unsatisfiable or vacuous
-    settings (quorum outside [1..n], bad churn parameters); [Ok] pairs a
-    possibly-clamped config with human-readable warnings (today:
-    [crashes > t] clamps to [t]). {!campaign} applies this itself —
-    hard errors raise [Invalid_argument], warnings print to stderr once
-    per campaign. *)
+(** Construction-time validation. [Error] for unsatisfiable, vacuous or
+    unrepresentable settings: [n] outside [1..{!Net.max_slots}], negative
+    counts, quorum outside [1..n], a static config without a quorum
+    override whose [t] is not below [n/2], a static config whose [writes]
+    or [reads] overflow the {!Pack} message fields, bad churn parameters.
+    [Ok] pairs a possibly-clamped config with human-readable warnings
+    (today: [crashes > t] clamps to [t]). {!campaign} applies this
+    itself — hard errors raise [Invalid_argument], warnings print to
+    stderr once per campaign — and every run of a static config raises
+    [Invalid_argument] on a hard error. *)
 
 type rng_point = {
   rng_state : int64;
@@ -141,7 +145,7 @@ val run_plan : config -> Faults.plan -> outcome
 
 val run_compiled : config -> Faults.compiled -> outcome
 (** {!run_plan} over an already-compiled plan — what the fleet executes
-    for mutants, whose plans it compiles once for content addressing. *)
+    for corpus entries and mutants, which it holds compiled. *)
 
 val shrink : config -> Faults.plan -> Faults.plan * int
 (** ddmin a failing plan down to a 1-minimal failing plan, and the number

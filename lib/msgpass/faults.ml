@@ -161,28 +161,35 @@ let action_of_code c =
 
 type compiled = int array
 
-let compile_array ~n acts =
-  let check_pid pid =
-    if pid < 0 || pid >= n then
-      invalid_arg (Printf.sprintf "Faults.compile: pid %d out of range" pid)
+let compile ~n plan =
+  let check i = function
+    | Deliver { src; dst } | Drop { src; dst } | Duplicate { src; dst }
+    | Defer { src; dst } ->
+        if src < 0 || src >= n || dst < 0 || dst >= n then
+          invalid_arg
+            (Printf.sprintf
+               "Faults.compile: action %d: channel %d>%d out of range (n = %d)"
+               i src dst n)
+    | Crash pid | Enter pid | Leave pid ->
+        if pid < 0 || pid >= n then
+          invalid_arg
+            (Printf.sprintf
+               "Faults.compile: action %d: pid %d out of range (n = %d)" i pid
+               n)
   in
-  let check_channel { src; dst } =
-    if src < 0 || src >= n || dst < 0 || dst >= n then
-      invalid_arg
-        (Printf.sprintf "Faults.compile: channel %d>%d out of range" src dst)
-  in
-  Array.map
-    (fun a ->
-      (match a with
-      | Deliver ch | Drop ch | Duplicate ch | Defer ch -> check_channel ch
-      | Crash pid | Enter pid | Leave pid -> check_pid pid);
-      code_of_action a)
-    acts
+  let c = Array.make (List.length plan) 0 in
+  List.iteri
+    (fun i a ->
+      check i a;
+      c.(i) <- code_of_action a)
+    plan;
+  c
 
-let compile ~n plan = compile_array ~n (Array.of_list plan)
+let decompile compiled = Array.to_list (Array.map action_of_code compiled)
 let compiled_length = Array.length
-let decompile_array compiled = Array.map action_of_code compiled
-let decompile compiled = Array.to_list (decompile_array compiled)
+let compiled_get compiled i = action_of_code compiled.(i)
+let compiled_sub = Array.sub
+let compiled_concat = Array.concat
 
 let compiled_deliveries compiled =
   let k = ref 0 in
@@ -417,8 +424,6 @@ let run_random ~rng ~profile ?(max_events = 100_000) ?(until = fun () -> false)
       loop (budget - 1)
   in
   loop max_events
-
-let replay t plan = List.iter (fun a -> ignore (apply t a)) plan
 
 let replay_compiled t compiled =
   for i = 0 to Array.length compiled - 1 do

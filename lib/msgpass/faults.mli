@@ -13,10 +13,10 @@
     against a {!profile} of per-event fault probabilities (with delay
     bursts that freeze a channel for a stretch of events, and scheduled
     crash-at-event-index injections); whatever it ends up doing is
-    {!plan}-recorded. {!replay} re-executes a recorded plan bit-for-bit —
-    the random and scripted modes meet in the same [action] vocabulary, so
-    a shrunk counterexample (see {!Check.Shrink}) is replayed by the exact
-    machinery that found it. *)
+    {!plan}-recorded. {!replay_compiled} re-executes a recorded plan
+    bit-for-bit — the random and scripted modes meet in the same [action]
+    vocabulary, so a shrunk counterexample (see {!Check.Shrink}) is
+    replayed by the exact machinery that found it. *)
 
 type channel = { src : int; dst : int }
 
@@ -68,27 +68,29 @@ val plan_of_json : Obs.Json.t -> (plan, string) result
 
     A compiled plan is the dense int-opcode form of an action list: one
     immediate int per action, walked by {!replay_compiled} with no
-    per-action pattern match or allocation. The fleet compiles each
-    corpus plan once and replays the flat array for every mutant and
-    cache probe derived from it. *)
+    per-action pattern match or allocation. It is the only in-memory plan
+    form of the chaos layer and the fleet: runs record it, the fleet's
+    corpus and mutants hold it, and action lists appear only at the
+    text/JSON codecs, in shrinking and in witnesses. *)
 
 type compiled
 
 val compile : n:int -> plan -> compiled
 (** Validate every operand against universe size [n] and pack.
-    @raise Invalid_argument on an out-of-range channel or pid — a
-    compiled plan can therefore be replayed unchecked. *)
-
-val compile_array : n:int -> action array -> compiled
-(** {!compile} over an action array — the fleet's mutation engine works
-    on arrays, so its mutants pack without a round-trip through lists. *)
+    @raise Invalid_argument on an out-of-range channel or pid, naming
+    the action's index — a compiled plan can therefore be replayed
+    unchecked. *)
 
 val decompile : compiled -> plan
-
-val decompile_array : compiled -> action array
-(** {!decompile} without the final list conversion. *)
-
 val compiled_length : compiled -> int
+
+val compiled_get : compiled -> int -> action
+(** The action at an index, decoded. *)
+
+val compiled_sub : compiled -> int -> int -> compiled
+(** [compiled_sub c pos len]: the actions [pos .. pos + len - 1]. *)
+
+val compiled_concat : compiled list -> compiled
 
 val compiled_deliveries : compiled -> int
 (** {!deliveries} over the packed form, without decoding. *)
@@ -156,15 +158,12 @@ val run_random :
 (** Drive {!step_random} until quiescence, [until ()], or [max_events]
     (default 100_000). *)
 
-val replay : 'm t -> plan -> unit
-(** Execute a plan action by action, skipping no-ops. Replaying the plan of
-    a previous run against a freshly built identical network reproduces
-    that run exactly: same deliveries, same handler executions, same final
-    state. *)
-
 val replay_compiled : 'm t -> compiled -> unit
-(** {!replay} over the packed form: execute opcode by opcode, skipping
-    no-ops, recording effective actions exactly as {!apply} does. *)
+(** Execute a compiled plan action by action, skipping no-ops and
+    recording effective actions exactly as {!apply} does. Replaying the
+    plan of a previous run against a freshly built identical network
+    reproduces that run exactly: same deliveries, same handler
+    executions, same final state. *)
 
 val reset : 'm t -> unit
 (** Clear the wrapper back to its post-{!wrap} state — empty recording,

@@ -115,23 +115,25 @@ let rekind rng n = function
   | Faults.Enter _ -> Faults.Enter (Bits.Rng.int rng n)
   | Faults.Leave _ -> Faults.Leave (Bits.Rng.int rng n)
 
-(* Every generated pid and channel endpoint is drawn in [0, n), so a
-   mutated plan can never make [Faults.replay] raise: out-of-range
-   channels are impossible by construction, and every in-range action on
-   an empty channel (or dead process) is a recorded no-op the fault layer
-   skips silently. *)
-let mutate_arr rng ~n ?(churn = false) plan =
-  let a = ref (Array.copy plan) in
-  let len () = Array.length !a in
+(* The mutation engine works on compiled plans — the fleet's only
+   in-memory plan form — through {!Faults}' slicing primitives, never on
+   the opcode layout itself. Every generated pid and channel endpoint is
+   drawn in [0, n), so a mutant always compiles, and replaying it never
+   raises: every in-range action on an empty channel (or dead process)
+   is a recorded no-op the fault layer skips silently. *)
+let mutate_compiled rng ~n ~churn plan =
+  let a = ref plan in
+  let len () = Faults.compiled_length !a in
+  let sub = Faults.compiled_sub in
   let remove start k =
     a :=
-      Array.append (Array.sub !a 0 start)
-        (Array.sub !a (start + k) (len () - start - k))
+      Faults.compiled_concat
+        [ sub !a 0 start; sub !a (start + k) (len () - start - k) ]
   in
   let insert at seg =
-    a :=
-      Array.concat [ Array.sub !a 0 at; seg; Array.sub !a at (len () - at) ]
+    a := Faults.compiled_concat [ sub !a 0 at; seg; sub !a at (len () - at) ]
   in
+  let one act = Faults.compile ~n [ act ] in
   let run_at rng =
     let start = Bits.Rng.int rng (len ()) in
     let k = 1 + Bits.Rng.int rng (min 8 (len () - start)) in
@@ -147,64 +149,68 @@ let mutate_arr rng ~n ?(churn = false) plan =
     (* duplicate a run elsewhere *)
     | 1 when len () > 0 ->
         let start, k = run_at rng in
-        let seg = Array.sub !a start k in
+        let seg = sub !a start k in
         insert (Bits.Rng.int rng (len () + 1)) seg
     (* move a run *)
     | 2 when len () > 1 ->
         let start, k = run_at rng in
-        let seg = Array.sub !a start k in
+        let seg = sub !a start k in
         remove start k;
         insert (Bits.Rng.int rng (len () + 1)) seg
     (* perturb one action: same kind, fresh endpoints / crash pid *)
     | 3 when len () > 0 ->
         let i = Bits.Rng.int rng (len ()) in
-        !a.(i) <- rekind rng n !a.(i)
-    (* perturb a crash index: retarget and reposition one crash *)
-    | 4 when len () > 0 -> (
+        let act = rekind rng n (Faults.compiled_get !a i) in
+        a :=
+          Faults.compiled_concat
+            [ sub !a 0 i; one act; sub !a (i + 1) (len () - i - 1) ]
+    (* perturb a crash index: retarget and reposition one crash, or
+       inject one at a random index if the plan has none *)
+    | 4 when len () > 0 ->
         let crashes = ref [] in
-        Array.iteri
-          (fun i act ->
-            match act with
-            | Faults.Crash _ -> crashes := i :: !crashes
-            | _ -> ())
-          !a;
-        match !crashes with
-        | [] ->
-            (* no crash to perturb: inject one at a random index *)
-            insert
-              (Bits.Rng.int rng (len () + 1))
-              [| Faults.Crash (Bits.Rng.int rng n) |]
-        | idxs ->
-            let i = Bits.Rng.pick rng idxs in
-            remove i 1;
-            insert
-              (Bits.Rng.int rng (len () + 1))
-              [| Faults.Crash (Bits.Rng.int rng n) |])
+        for i = 0 to len () - 1 do
+          match Faults.compiled_get !a i with
+          | Faults.Crash _ -> crashes := i :: !crashes
+          | _ -> ()
+        done;
+        if !crashes <> [] then remove (Bits.Rng.pick rng !crashes) 1;
+        (* The pid is drawn before the position: the published order. *)
+        let crash = one (Faults.Crash (Bits.Rng.int rng n)) in
+        insert (Bits.Rng.int rng (len () + 1)) crash
     (* insert fresh random actions *)
     | _ ->
-        let seg =
-          Array.init
-            (1 + Bits.Rng.int rng 4)
-            (fun _ -> random_action rng ~churn n)
+        let rec fresh k acc =
+          if k = 0 then List.rev acc
+          else fresh (k - 1) (random_action rng ~churn n :: acc)
         in
+        let seg = Faults.compile ~n (fresh (1 + Bits.Rng.int rng 4) []) in
         insert (Bits.Rng.int rng (len () + 1)) seg
   done;
   !a
 
-let mutate rng ~n ?churn plan =
-  Array.to_list (mutate_arr rng ~n ?churn (Array.of_list plan))
+let mutate rng ~n ?(churn = false) plan =
+  Faults.decompile (mutate_compiled rng ~n ~churn (Faults.compile ~n plan))
 
-let crossover_arr rng a b =
-  if Array.length a = 0 then b
-  else if Array.length b = 0 then a
-  else begin
-    let i = Bits.Rng.int rng (Array.length a + 1) in
-    let j = Bits.Rng.int rng (Array.length b + 1) in
-    Array.append (Array.sub a 0 i) (Array.sub b j (Array.length b - j))
-  end
+(* Single-point crossover: keep the first parent's [i]-prefix and the
+   second parent's suffix from [j]. An empty parent draws nothing and
+   yields the other parent whole. *)
+let crossover_cut rng la lb =
+  if la = 0 then (0, 0)
+  else if lb = 0 then (la, 0)
+  else
+    let i = Bits.Rng.int rng (la + 1) in
+    let j = Bits.Rng.int rng (lb + 1) in
+    (i, j)
+
+let crossover_compiled rng a b =
+  let lb = Faults.compiled_length b in
+  let i, j = crossover_cut rng (Faults.compiled_length a) lb in
+  Faults.compiled_concat
+    [ Faults.compiled_sub a 0 i; Faults.compiled_sub b j (lb - j) ]
 
 let crossover rng p1 p2 =
-  Array.to_list (crossover_arr rng (Array.of_list p1) (Array.of_list p2))
+  let i, j = crossover_cut rng (List.length p1) (List.length p2) in
+  List.filteri (fun k _ -> k < i) p1 @ List.filteri (fun k _ -> k >= j) p2
 
 (* The exact identity of a shrunk plan: its action sequence with pids
    renamed by order of first appearance, so two minimal plans that
@@ -322,6 +328,8 @@ let cache_cap = 1 lsl 16
 
 type entry = { id : int; origin : string; plan : Faults.plan }
 
+exception Corpus_error of string
+
 let entry_to_json e =
   Obs.Json.Obj
     [
@@ -342,40 +350,35 @@ let entry_of_json j =
 
 let corpus_file dir = Filename.concat dir "corpus.jsonl"
 
-let load_corpus dir =
+(* Every non-blank line of [<dir>/corpus.jsonl] through [entry], oldest
+   first; a failure names the file and the 1-based line, since the
+   corpus is hand-edited. *)
+let read_corpus dir entry =
   let file = corpus_file dir in
   if not (Sys.file_exists file) then Ok []
   else
-    In_channel.with_open_text file In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.fold_left
-         (fun acc line ->
-           match acc with
-           | Error _ as e -> e
-           | Ok entries -> (
-               match Obs.Json.of_string line with
-               | Error e -> Error (Printf.sprintf "%s: %s" file e)
-               | Ok j -> (
-                   match entry_of_json j with
-                   | Ok e -> Ok (e :: entries)
-                   | Error e -> Error (Printf.sprintf "%s: %s" file e))))
-         (Ok [])
-    |> Result.map List.rev
+    let rec go lineno acc = function
+      | [] -> Ok (List.rev acc)
+      | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
+      | line :: rest -> (
+          match Result.bind (Obs.Json.of_string line) entry with
+          | Ok e -> go (lineno + 1) (e :: acc) rest
+          | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e))
+    in
+    go 1 []
+      (String.split_on_char '\n'
+         (In_channel.with_open_text file In_channel.input_all))
+
+let load_corpus dir = read_corpus dir entry_of_json
 
 (* Oldest first, newest at [size - 1] — matching the JSONL on disk. A
    growable array, not a list: generation planning picks parents by
    index, and a 60 s fleet grows the corpus to tens of thousands of
-   plans. In-memory entries carry the plan as a lazy action array: an
-   entry born from an executed run is only materialized (decompiled from
-   the opcode form) when it is picked as a mutation parent — or eagerly,
-   when a corpus directory needs its JSONL line. Most interesting runs
-   are never picked, so an in-memory fleet skips most decompilations. *)
-type centry = {
-  cid : int;
-  corigin : string;
-  cplan : Faults.action array Lazy.t;
-}
+   plans. Entries hold compiled plans: a loaded entry is validated and
+   compiled once, at load, and an entry born from an executed run is
+   its recorded plan as is; only a corpus directory's JSONL line
+   decompiles. *)
+type centry = { cid : int; corigin : string; cplan : Faults.compiled }
 
 type corpus = {
   dir : string option;
@@ -385,26 +388,22 @@ type corpus = {
   mutable added : int;  (** entries appended by this campaign *)
 }
 
-let dummy_entry = { cid = -1; corigin = ""; cplan = Lazy.from_val [||] }
+let dummy_entry = { cid = -1; corigin = ""; cplan = Faults.compile ~n:0 [] }
 
-let corpus_open dir =
+let compiled_entry ~n j =
+  Result.bind (entry_of_json j) (fun e ->
+      match Faults.compile ~n e.plan with
+      | cplan -> Ok { cid = e.id; corigin = e.origin; cplan }
+      | exception Invalid_argument msg -> Error msg)
+
+let corpus_open ~n dir =
   match dir with
   | None -> Ok { dir; arr = [||]; size = 0; next_id = 0; added = 0 }
   | Some d ->
       if not (Sys.file_exists d) then Sys.mkdir d 0o755;
       Result.map
         (fun loaded ->
-          let arr =
-            Array.of_list
-              (List.map
-                 (fun e ->
-                   {
-                     cid = e.id;
-                     corigin = e.origin;
-                     cplan = Lazy.from_val (Array.of_list e.plan);
-                   })
-                 loaded)
-          in
+          let arr = Array.of_list loaded in
           {
             dir;
             arr;
@@ -412,7 +411,7 @@ let corpus_open dir =
             next_id = Array.fold_left (fun m e -> max m (e.cid + 1)) 0 arr;
             added = 0;
           })
-        (load_corpus d)
+        (read_corpus d (compiled_entry ~n))
 
 let corpus_add corpus ~origin cplan =
   let e = { cid = corpus.next_id; corigin = origin; cplan } in
@@ -428,21 +427,16 @@ let corpus_add corpus ~origin cplan =
   corpus.size <- corpus.size + 1;
   corpus.added <- corpus.added + 1;
   Obs.Metrics.set g_corpus corpus.size;
-  (match corpus.dir with
+  match corpus.dir with
   | None -> ()
   | Some d ->
       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (corpus_file d) in
       output_string oc
         (Obs.Json.to_string
            (entry_to_json
-              {
-                id = e.cid;
-                origin;
-                plan = Array.to_list (Lazy.force cplan);
-              }));
+              { id = e.cid; origin; plan = Faults.decompile cplan }));
       output_char oc '\n';
-      close_out oc);
-  e
+      close_out oc
 
 (* Max of two uniform draws: biased toward the newest entries, where the
    coverage frontier is. *)
@@ -626,10 +620,22 @@ let replay_file file =
             Obs.Json.member_str "reason" j )
         with
         | Some cj, Some pj, Some th, Some ev, Some dl, Some reason -> (
-            match (config_of_json cj, Faults.plan_of_json pj) with
-            | Error e, _ | _, Error e -> Error (Printf.sprintf "%s: %s" file e)
-            | Ok config, Ok plan ->
-                let outcome = Chaos.run_plan config plan in
+            (* A witness file is as hand-editable as the corpus: its
+               config must pass the campaign's own validation and its
+               plan must compile against it before anything runs. *)
+            let checked =
+              let ( let* ) = Result.bind in
+              let* config = config_of_json cj in
+              let* config, _warnings = Chaos.validate config in
+              let* plan = Faults.plan_of_json pj in
+              match Faults.compile ~n:config.Chaos.n plan with
+              | compiled -> Ok (config, plan, compiled)
+              | exception Invalid_argument e -> Error e
+            in
+            match checked with
+            | Error e -> Error (Printf.sprintf "%s: %s" file e)
+            | Ok (config, plan, compiled) ->
+                let outcome = Chaos.run_compiled config compiled in
                 let sg = signature_of outcome in
                 let fresh_reason =
                   match outcome.Chaos.verdict with
@@ -664,20 +670,15 @@ let replay_file file =
 
 type job =
   | Fresh of { seed : int; profile : Faults.profile; crashes : int }
-  | Mutant of { plan : Faults.action array; origin : string }
+  | Mutant of { plan : Faults.compiled; origin : string }
 
 let job_origin = function
   | Fresh { seed; _ } -> Printf.sprintf "seed:%d" seed
   | Mutant { origin; _ } -> origin
 
-(* Keying a mutant compiles its plan once; execution then replays the
-   same compiled form ({!Chaos.run_compiled}), so content addressing
-   costs no extra compilation. Mutants draw every operand in [0, n)
-   by construction, so [compile_array] cannot raise here. *)
-let job_key (chaos : Chaos.config) ~phash = function
+let job_key ~phash = function
   | Fresh { seed; profile; crashes } -> fresh_key ~phash ~seed ~profile ~crashes
-  | Mutant { plan; _ } ->
-      plan_cache_key (Faults.compile_array ~n:chaos.Chaos.n plan)
+  | Mutant { plan; _ } -> plan_cache_key plan
 
 (* Swarm diversity: each generation runs under a random feature mix —
    every fault knob of the profile independently toggled and scaled, the
@@ -723,14 +724,10 @@ type report = {
 let gen_rng seed g =
   Bits.Rng.make (Sched.Zobrist.combine (Sched.Zobrist.combine 0 seed) g)
 
-let exec chaos (job, key) =
-  match (job, key) with
-  | Fresh { seed; profile; crashes }, _ ->
+let exec chaos = function
+  | Fresh { seed; profile; crashes } ->
       Chaos.run_random ~seed { chaos with Chaos.profile; crashes }
-  | Mutant _, K_plan { c; _ } -> Chaos.run_compiled chaos c
-  | Mutant { plan; _ }, K_fresh _ ->
-      (* unreachable: [job_key] pairs mutants with [K_plan] *)
-      Chaos.run_plan chaos (Array.to_list plan)
+  | Mutant { plan; _ } -> Chaos.run_compiled chaos plan
 
 let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     ?corpus_dir ~seed chaos =
@@ -741,9 +738,9 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     | None, None -> Some 10
   in
   let corpus =
-    match corpus_open corpus_dir with
+    match corpus_open ~n:chaos.Chaos.n corpus_dir with
     | Ok c -> c
-    | Error e -> invalid_arg (Printf.sprintf "Fleet.campaign: %s" e)
+    | Error e -> raise (Corpus_error e)
   in
   Obs.Metrics.set g_corpus corpus.size;
   (* The campaign's run cache. Probes and fills happen only on the
@@ -782,8 +779,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
      so mutants that reproduce a corpus entry answer without
      re-simulation. Fresh campaigns load nothing and skip this. *)
   for i = 0 to corpus.size - 1 do
-    let e = corpus.arr.(i) in
-    let c = Faults.compile_array ~n:chaos.Chaos.n (Lazy.force e.cplan) in
+    let c = corpus.arr.(i).cplan in
     let o =
       cached_run (plan_cache_key c) (fun () -> Chaos.run_compiled chaos c)
     in
@@ -858,9 +854,10 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
        stays uncached — its replay counts are part of the published
        reports — but duplicate violating runs ddmin onto the same
        1-minimal plan, and the confirmation replay hits. *)
+    let shrunk_c = Faults.compile ~n:chaos.Chaos.n shrunk in
     let replay =
-      let c = Faults.compile ~n:chaos.Chaos.n shrunk in
-      cached_run (plan_cache_key c) (fun () -> Chaos.run_compiled chaos c)
+      cached_run (plan_cache_key shrunk_c) (fun () ->
+          Chaos.run_compiled chaos shrunk_c)
     in
     let reg, reason =
       match replay.Chaos.verdict with
@@ -916,10 +913,9 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
           "fleet.witness";
         (* The shrunk witness joins the corpus: its mutants probe the
            boundary of the violation class. *)
-        ignore
-          (corpus_add corpus
-             ~origin:(Printf.sprintf "witness:%016x" key)
-             (Lazy.from_val (Array.of_list shrunk)))
+        corpus_add corpus
+          ~origin:(Printf.sprintf "witness:%016x" key)
+          shrunk_c
     end
   in
   let run_generation g =
@@ -938,9 +934,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
               let other = corpus_pick rng corpus in
               Mutant
                 {
-                  plan =
-                    crossover_arr rng (Lazy.force parent.cplan)
-                      (Lazy.force other.cplan);
+                  plan = crossover_compiled rng parent.cplan other.cplan;
                   origin =
                     Printf.sprintf "xover:%d+%d@g%d" parent.cid other.cid g;
                 }
@@ -949,9 +943,9 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
               Mutant
                 {
                   plan =
-                    mutate_arr rng ~n:chaos.Chaos.n
+                    mutate_compiled rng ~n:chaos.Chaos.n
                       ~churn:(chaos.Chaos.membership <> None)
-                      (Lazy.force parent.cplan);
+                      parent.cplan;
                   origin = Printf.sprintf "mut:%d@g%d" parent.cid g;
                 }
           end)
@@ -961,7 +955,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
        the misses. Results are filled back in batch order, so campaign
        state after a generation is identical at any [jobs] width. *)
     let phash = Sched.Zobrist.value_hash profile in
-    let keys = Array.map (job_key chaos ~phash) jobs_arr in
+    let keys = Array.map (job_key ~phash) jobs_arr in
     let slot = Array.make batch (-1) in
     let fresh_jobs = ref [] in
     let fresh_count = ref 0 in
@@ -983,7 +977,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
               Cache_tbl.add seen k !fresh_count;
               slot.(i) <- !fresh_count;
               incr fresh_count;
-              fresh_jobs := (jobs_arr.(i), k) :: !fresh_jobs)
+              fresh_jobs := jobs_arr.(i) :: !fresh_jobs)
       keys;
     let units = Array.of_list (List.rev !fresh_jobs) in
     let fresh =
@@ -1038,11 +1032,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
           (* The *executed* plan joins the corpus: for mutants that is
              the effective action sequence (no-ops already dropped), so
              corpus plans stay tight and replayable. *)
-          let cplan = o.Chaos.plan in
-          ignore
-            (corpus_add corpus
-               ~origin:(job_origin jobs_arr.(i))
-               (lazy (Faults.decompile_array cplan)));
+          corpus_add corpus ~origin:(job_origin jobs_arr.(i)) o.Chaos.plan
         end;
         if Chaos.failed o then begin
           incr violations;

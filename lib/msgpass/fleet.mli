@@ -44,9 +44,11 @@ val signature_of : Chaos.outcome -> signature
 
 (** {1 Plan mutation}
 
-    All generated pids and channel endpoints are drawn in [0, n), and
-    {!Faults.replay} skips ineffective actions silently — so every
-    mutant replays without raising, whatever the splicing did. *)
+    The campaign mutates compiled plans ({!Faults.compiled}); these
+    list-form entry points compile, mutate and decompile. All generated
+    pids and channel endpoints are drawn in [0, n), and
+    {!Faults.replay_compiled} skips ineffective actions silently — so
+    every mutant replays without raising, whatever the splicing did. *)
 
 val mutate : Bits.Rng.t -> n:int -> ?churn:bool -> Faults.plan -> Faults.plan
 (** 1–3 rounds of: splice a run of actions out, duplicate a run, move a
@@ -55,7 +57,8 @@ val mutate : Bits.Rng.t -> n:int -> ?churn:bool -> Faults.plan -> Faults.plan
     [churn] (default false) admits [enter]/[leave] among the freshly
     inserted actions; off, the rng stream is exactly the pre-churn one,
     so static-membership corpora and reports are unaffected by the wider
-    grammar. *)
+    grammar.
+    @raise Invalid_argument if the plan has an operand outside [0, n). *)
 
 val crossover : Bits.Rng.t -> Faults.plan -> Faults.plan -> Faults.plan
 (** Single-point crossover: a prefix of the first parent spliced to a
@@ -81,8 +84,14 @@ type entry = { id : int; origin : string; plan : Faults.plan }
 
 val load_corpus : string -> (entry list, string) result
 (** Parse [<dir>/corpus.jsonl], oldest first. [Ok []] when the file does
-    not exist; [Error] names the file and the offending line's problem
-    (the corpus is human-editable, so failures are loud, not skipped). *)
+    not exist; [Error] names the file, the offending line's number and
+    its problem (the corpus is human-editable, so failures are loud, not
+    skipped). *)
+
+exception Corpus_error of string
+(** Raised by {!campaign} when [corpus_dir] holds a corpus that does not
+    load: a line that fails to parse, or a plan with an operand outside
+    the campaign's [0, n). The message names the file and the line. *)
 
 (** {1 Witnesses} *)
 
@@ -125,7 +134,9 @@ type replay = {
 
 val replay_file : string -> (replay, string) result
 (** Load a [witness-<class>.json] file and re-execute its plan against a
-    freshly built network of its stored configuration. *)
+    freshly built network of its stored configuration. [Error] when the
+    file does not parse, its configuration fails {!Chaos.validate}, or
+    its plan does not {!Faults.compile} against that configuration. *)
 
 (** {1 Campaigns} *)
 
@@ -184,7 +195,8 @@ val campaign :
     are byte-identical at any width. [corpus_dir] persists the corpus
     ([corpus.jsonl]) and witnesses; omitted, the campaign is in-memory.
 
-    @raise Invalid_argument when [corpus_dir] exists but fails to parse. *)
+    @raise Corpus_error when [corpus_dir] holds a corpus that does not
+    load. *)
 
 val pp_witness : Format.formatter -> witness -> unit
 

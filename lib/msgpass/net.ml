@@ -112,9 +112,12 @@ let do_send t src dst m =
     ring_push t ((src * t.size) + dst) t.delivered m
   end
 
+let max_slots = 61
+
 let create_push ?(present = fun _ -> true) ~n ~nodes () =
   if n <= 0 then invalid_arg "Net: n must be positive";
-  if n > 61 then invalid_arg "Net: at most 61 slots (membership bitsets)";
+  if n > max_slots then
+    invalid_arg "Net: at most 61 slots (membership bitsets)";
   let dummy =
     { p_start = ignore; p_message = (fun ~from:_ _ -> ()); p_leave = ignore }
   in

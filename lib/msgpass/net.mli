@@ -30,6 +30,10 @@ type 'm push = {
 
 type 'm t
 
+val max_slots : int
+(** [61]: the most slots a network holds — membership and crash state
+    are single-word bitsets. *)
+
 val create : ?present:(int -> bool) -> n:int -> nodes:(int -> 'm node) -> unit -> 'm t
 (** [on_start] callbacks run immediately, in pid order, for every slot
     where [present pid] holds (default: all). Slots that start absent are
@@ -46,8 +50,8 @@ val create_push :
     closure bound to its own pid; sends from a crashed or departed source
     vanish silently (matching the list-node semantics), and out-of-range
     destinations raise [Invalid_argument].
-    @raise Invalid_argument if [n] is not in [1..61] (membership is kept
-    in single-word bitsets). *)
+    @raise Invalid_argument if [n] is not in [1..{!max_slots}] (membership
+    is kept in single-word bitsets). *)
 
 val reset : ?present:(int -> bool) -> 'm t -> unit
 (** Return a network to its post-{!create} state without reallocating:

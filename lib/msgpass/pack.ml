@@ -6,11 +6,11 @@
    payloads in plain [int array] rings — no per-message allocation, no
    boxing — which is what makes the pooled chaos fleet's send/deliver
    path allocation-free. The encoders do not range-check (they are the
-   hot path); builders must validate their configuration's bounds with
-   {!fits_static} up front and fall back to the boxed message type when
-   a field could overflow. Decoding is mask-and-shift; every field of
-   every tag is present in every word (unused fields are zero), so
-   decoders never branch on tag to find a field. *)
+   hot path); [Chaos.validate] rejects up front, via {!fits_static}, any
+   configuration whose fields could overflow. Decoding is
+   mask-and-shift; every field of every tag is present in every word
+   (unused fields are zero), so decoders never branch on tag to find a
+   field. *)
 
 let tag_bits = 2
 let reg_bits = 10
@@ -58,17 +58,3 @@ let value m = (m lsr value_shift) land max_value
 let fits_static ~registers ~writes ~max_ops =
   registers - 1 <= max_reg && writes <= max_ts && writes <= max_value
   && max_ops <= max_op
-
-let to_msg m : int Abd.msg =
-  let t = tag m in
-  if t = t_write_req then
-    Abd.Write_req { reg = reg m; ts = ts m; value = value m; op = op m }
-  else if t = t_write_ack then Abd.Write_ack { reg = reg m; op = op m }
-  else if t = t_read_req then Abd.Read_req { reg = reg m; op = op m }
-  else Abd.Read_reply { reg = reg m; ts = ts m; value = value m; op = op m }
-
-let of_msg : int Abd.msg -> int = function
-  | Abd.Write_req { reg; ts; value; op } -> write_req ~reg ~ts ~value ~op
-  | Abd.Write_ack { reg; op } -> write_ack ~reg ~op
-  | Abd.Read_req { reg; op } -> read_req ~reg ~op
-  | Abd.Read_reply { reg; ts; value; op } -> read_reply ~reg ~ts ~value ~op

@@ -5,9 +5,8 @@
     instantiated at ['m = int] keeps its payload rings as [int array]s,
     so the packed chaos fleet's send/deliver path allocates nothing.
 
-    Encoders are unchecked (hot path); callers validate once with
-    {!fits_static} and fall back to the boxed ['v Abd.msg] build when the
-    configuration could overflow a field. *)
+    Encoders are unchecked (hot path); {!Chaos.validate} rejects, via
+    {!fits_static}, every configuration that could overflow a field. *)
 
 val max_reg : int
 val max_op : int
@@ -40,9 +39,3 @@ val fits_static : registers:int -> writes:int -> max_ops:int -> bool
 (** Every field of a static ABD workload with these bounds fits the
     layout: registers in [0..max_reg], timestamps and values bounded by
     the write count, per-node operation ids bounded by [max_ops]. *)
-
-val to_msg : int -> int Abd.msg
-(** Decode to the boxed message type (differential tests, debugging). *)
-
-val of_msg : int Abd.msg -> int
-(** Encode a boxed message; fields must be in range (unchecked). *)

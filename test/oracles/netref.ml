@@ -6,6 +6,8 @@
    this and the arena [Net] with identical action sequences (including
    churn) and requires identical observations at every step. *)
 
+module Net = Msgpass.Net
+
 type 'm node = {
   on_start : unit -> (int * 'm) list;
   on_message : from:int -> 'm -> (int * 'm) list;

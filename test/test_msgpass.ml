@@ -76,8 +76,9 @@ let prop_wire_roundtrip =
 (* Every field of the bit-packed layout — tag:2 | reg:10 | op:16 | ts:16 |
    value:18 — must decode to exactly what was encoded, including at the
    field boundaries (0, 1, max-1, max) where a mask or shift off by one
-   would silently alias neighbouring fields. The boxed Abd.msg roundtrip
-   pins the packed and boxed forms to each other. *)
+   would silently alias neighbouring fields. The roundtrip through the
+   boxed oracle's Abd.msg codec pins the packed and boxed forms to each
+   other. *)
 let prop_pack_roundtrip_boundary =
   let module P = Msgpass.Pack in
   let field max =
@@ -106,7 +107,7 @@ let prop_pack_roundtrip_boundary =
       P.tag m = tag && P.reg m = reg && P.op m = op
       && P.ts m = (if carries_ts then ts else 0)
       && P.value m = (if carries_ts then value else 0)
-      && P.of_msg (P.to_msg m) = m
+      && Oracles.Boxed.of_msg (Oracles.Boxed.to_msg m) = m
       && m >= 0)
 
 let test_pack_fits_static_boundaries () =
@@ -543,7 +544,20 @@ let test_chaos_validate () =
       ("negative rate", C.churn ~rate:(-1) ());
       ("window 0", C.churn ~window:0 ());
       ("width 31", C.churn ~width_bits:31 ());
-    ]
+      ("n above the network's slots", { (C.sound ()) with C.n = 80 });
+      ("negative reads", { (C.sound ()) with C.reads = -1 });
+      ("negative writes (churn)", { (C.churn ()) with C.writes = -1 });
+      ("t >= n/2 without a quorum", C.sound ~n:4 ~t:2 ());
+      ("writes above the packed layout",
+        { (C.sound ()) with C.writes = 70_000 });
+      ("reads above the packed layout",
+        { (C.frontier ()) with C.reads = 70_000 });
+    ];
+  (* The packed layout binds static configs only: the boxed Dynreg
+     fleet takes any script length. *)
+  match C.validate { (C.churn ()) with C.writes = 70_000 } with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "dynamic config rejected: %s" e
 
 (* The churn mutation grammar is opt-in (static fleets must keep their
    published rng streams) and deterministic under it. *)
@@ -614,7 +628,7 @@ let prop_plan_codec_roundtrip =
    absent so random Enter actions are effective. *)
 let prop_net_matches_netref =
   let module N = Msgpass.Net in
-  let module R = Msgpass.Netref in
+  let module R = Oracles.Netref in
   let module F = Msgpass.Faults in
   let n = 10 in
   let fanout = 3 * n in
@@ -713,15 +727,15 @@ let test_plan_codec_rejects_garbage () =
       "enter"; "leave 1>2";
     ]
 
+let contains hay needle =
+  let h = String.length hay and n = String.length needle in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 (* A rejected plan names the offending action and where it sits, so a
    hand-edited corpus line fails with something greppable instead of a
    bare "parse error". *)
 let test_plan_parse_errors_are_positional () =
-  let contains hay needle =
-    let h = String.length hay and n = String.length needle in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun (text, fragments) ->
       match Msgpass.Faults.plan_of_string text with
@@ -754,12 +768,41 @@ let test_fleet_mutator_deterministic () =
     (children 5 = children 5);
   Alcotest.(check bool) "different seed: different children" true
     (children 5 <> children 6);
+  let other = Msgpass.Faults.decompile (C.run_random ~seed:12 config).C.plan in
   let cross seed =
     let rng = Bits.Rng.make seed in
-    let other = Msgpass.Faults.decompile (C.run_random ~seed:12 config).C.plan in
     List.init 32 (fun _ -> F.crossover rng base other)
   in
-  Alcotest.(check bool) "crossover deterministic too" true (cross 5 = cross 5)
+  Alcotest.(check bool) "crossover deterministic too" true (cross 5 = cross 5);
+  (* Golden stream: one rng drives mutants of a frontier, a sound (with
+     crashes) and a churn plan, then crossovers, including the
+     empty-parent cases. The digest was recorded from the action-array
+     mutation engine the compiled-form one replaced, so any drift in
+     which draws happen, or in what order, changes it — and with it
+     every published fleet report and corpus. *)
+  let plan_of config seed =
+    Msgpass.Faults.decompile (C.run_random ~seed config).C.plan
+  in
+  let sound = C.sound () and churn = C.churn_frontier () in
+  let sbase = plan_of sound 3 and cbase = plan_of churn 29 in
+  let rng = Bits.Rng.make 5 in
+  let mutants = List.init 32 (fun _ -> F.mutate rng ~n:config.C.n base) in
+  let smutants = List.init 32 (fun _ -> F.mutate rng ~n:sound.C.n sbase) in
+  let cmutants =
+    List.init 32 (fun _ -> F.mutate rng ~n:churn.C.n ~churn:true cbase)
+  in
+  let xs = List.init 32 (fun _ -> F.crossover rng base other) in
+  let xe = [ F.crossover rng [] base; F.crossover rng base [] ] in
+  let text =
+    String.concat "\n"
+      (List.map
+         (fun p ->
+           String.concat ";" (List.map Msgpass.Faults.action_to_string p))
+         (mutants @ smutants @ cmutants @ xs @ xe))
+  in
+  Alcotest.(check string) "golden mutation stream"
+    "01f81a9da921984b6d15e8cbb7eb84f3"
+    (Digest.to_hex (Digest.string text))
 
 (* Every mutant stays well-formed: endpoints are drawn in [0, n), and
    ineffective actions are skipped, so replay never raises — however the
@@ -845,6 +888,105 @@ let test_fleet_witness_dedup_and_replay () =
     r2.F.corpus_size;
   Alcotest.(check int) "resumed fleet does not republish the class" 0
     (List.length r2.F.witnesses);
+  rm_rf dir
+
+(* The CLI built next to this test executable (the test stanza depends
+   on it): run it with [args], returning its exit code and stderr. *)
+let run_cli args =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "boundedreg.exe" ]
+  in
+  let err = Filename.temp_file "boundedreg-cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args
+         Filename.null (Filename.quote err))
+  in
+  let msg = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  (code, msg)
+
+let check_error label ~fragments = function
+  | Ok _ -> Alcotest.failf "%s: accepted" label
+  | Error e ->
+      List.iter
+        (fun frag ->
+          if not (contains e frag) then
+            Alcotest.failf "%s: error lacks %S: %s" label frag e)
+        fragments
+
+(* A hand-edited corpus line with an operand outside the campaign's
+   [0, n) is rejected when the corpus loads — naming the file and the
+   line, blank lines counted — rather than escaping the campaign as an
+   uncaught Invalid_argument; the CLI turns it into a clean non-zero
+   exit with the same message. Parse failures name the line too. *)
+let test_fleet_corpus_rejects_bad_lines () =
+  let module C = Msgpass.Chaos in
+  let module F = Msgpass.Fleet in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-corpus-lines"
+  in
+  rm_rf dir;
+  Sys.mkdir dir 0o755;
+  let file = Filename.concat dir "corpus.jsonl" in
+  let write lines =
+    Out_channel.with_open_text file (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+  in
+  let good = {|{"id":0,"origin":"seed:1","plan":["deliver 0>1","crash 2"]}|} in
+  write
+    [
+      good;
+      "";
+      {|{"id":1,"origin":"mut:0@g0","plan":["deliver 1>0","deliver 0>9"]}|};
+    ];
+  (match F.load_corpus dir with
+  | Ok entries -> Alcotest.(check int) "operands parse" 2 (List.length entries)
+  | Error e -> Alcotest.failf "corpus parse failed: %s" e);
+  (match F.campaign ~generations:1 ~corpus_dir:dir ~seed:1 (C.frontier ()) with
+  | _ -> Alcotest.fail "campaign accepted an out-of-range operand"
+  | exception F.Corpus_error e ->
+      check_error "campaign" ~fragments:[ file ^ ":3:"; "0>9"; "action 1" ]
+        (Error e));
+  let code, msg =
+    run_cli (Printf.sprintf "fleet --frontier --generations 1 --corpus %s" dir)
+  in
+  Alcotest.(check int) "CLI exits 1" 1 code;
+  check_error "CLI" ~fragments:[ file ^ ":3:"; "0>9" ] (Error msg);
+  write [ good; {|{"id":1,"origin":"x","plan":["deliver 0>1"]|} ];
+  check_error "truncated JSON" ~fragments:[ file ^ ":2:" ] (F.load_corpus dir);
+  rm_rf dir
+
+(* Witness files are as hand-editable as the corpus: a config the
+   campaign would refuse (too many slots for the network, more writes
+   than the packed message fields hold) or a plan that does not compile
+   against its config is an [Error] from replay_file, and a clean exit 1
+   from [fleet --replay]. *)
+let test_fleet_replay_rejects_hostile_witnesses () =
+  let module F = Msgpass.Fleet in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-hostile"
+  in
+  rm_rf dir;
+  Sys.mkdir dir 0o755;
+  List.iteri
+    (fun i (label, n, writes, plan, fragment) ->
+      let file = Filename.concat dir (Printf.sprintf "witness-%d.json" i) in
+      Out_channel.with_open_text file (fun oc ->
+          Printf.fprintf oc
+            {|{"config":{"n":%d,"t":0,"quorum":2,"writes":%d,"readers":2,"reads":4,"max_events":4000},"plan":[%s],"terminal_hash":0,"events":0,"deliveries":0,"reason":""}|}
+            n writes plan);
+      check_error label ~fragments:[ file; fragment ] (F.replay_file file);
+      let code, msg = run_cli ("fleet --replay " ^ Filename.quote file) in
+      Alcotest.(check int) (label ^ ": CLI exits 1") 1 code;
+      check_error (label ^ " (CLI)") ~fragments:[ fragment ] (Error msg))
+    [
+      ("n = 80", 80, 2, {|"deliver 0>1"|}, "61 slots");
+      ("channel 0>9", 4, 2, {|"deliver 0>1","deliver 0>9"|}, "0>9");
+      ("writes = 70000", 4, 70_000, {|"deliver 0>1"|}, "packed message layout");
+    ];
   rm_rf dir
 
 (* ABD + Interp over the complete network: baseline eps-agreement survives
@@ -1100,6 +1242,11 @@ let () =
             test_fleet_jobs_invariant;
           Alcotest.test_case "fleet dedups, replays and resumes witnesses"
             `Quick test_fleet_witness_dedup_and_replay;
+          Alcotest.test_case "corpus errors name the file and line" `Quick
+            test_fleet_corpus_rejects_bad_lines;
+          Alcotest.test_case "fleet --replay rejects hostile witnesses" `Quick
+            test_fleet_replay_rejects_hostile_witnesses;
+          QCheck_alcotest.to_alcotest Oracles.Boxed.prop_packed_matches_boxed;
           Alcotest.test_case "parallel campaigns match sequential" `Quick
             test_chaos_jobs_invariant;
         ] );
