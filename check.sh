@@ -141,8 +141,9 @@ diff "$tmp_seq" "$tmp_par"
 # artifact upload, --expect witness gating that the frontier stale-read
 # class was rediscovered.
 echo "== fleet smoke"
-fleet_j1=$(mktemp -d) && fleet_j2=$(mktemp -d) && fleet_churn=$(mktemp -d)
-trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn"' EXIT
+fleet_j1=$(mktemp -d) && fleet_j2=$(mktemp -d)
+fleet_churn=$(mktemp -d) && fleet_churn_j2=$(mktemp -d)
+trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_churn_j2"' EXIT
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
   --corpus "$fleet_j1" --jobs 1 --expect witness > "$tmp_seq"
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
@@ -170,9 +171,19 @@ fi
 # membership block (seed members, churn rate/window/slack, width), so a
 # dyn witness must round-trip through --replay bit-for-bit too. The
 # 1-bit width under sound churn is the fastest reliable witness class.
+# Churn runs come from per-domain pooled fleets like static ones, so a
+# jobs=2 churn fleet must reproduce the jobs=1 report, corpus and
+# witness files byte-for-byte as well.
 dune exec bin/boundedreg.exe -- fleet --churn --width-bits 1 --generations 5 \
-  --batch 16 --seed 1 --corpus "$fleet_churn" --expect witness
+  --batch 16 --seed 1 --corpus "$fleet_churn" --jobs 1 --expect witness \
+  > "$tmp_seq"
+dune exec bin/boundedreg.exe -- fleet --churn --width-bits 1 --generations 5 \
+  --batch 16 --seed 1 --corpus "$fleet_churn_j2" --jobs 2 --expect witness \
+  > "$tmp_par"
+sed "s|$fleet_churn_j2|$fleet_churn|" "$tmp_par" | diff "$tmp_seq" -
+diff "$fleet_churn/corpus.jsonl" "$fleet_churn_j2/corpus.jsonl"
 for w in "$fleet_churn"/witness-*.json; do
+  diff "$w" "$fleet_churn_j2/$(basename "$w")"
   dune exec bin/boundedreg.exe -- fleet --replay "$w"
 done
 rm -rf ci-fleet-corpus

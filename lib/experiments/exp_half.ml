@@ -8,15 +8,15 @@
    t < n/2. *)
 
 (* Deliver a batch of (destination, message) pairs to the chosen recipients
-   only, feeding replies back to their senders; returns each recipient's
-   replies destined for [home]. *)
+   only; returns the replies destined for [home] as (sender, message)
+   pairs, so [home] handles each one with its true sender. *)
 let deliver_to ~recipients ~home ~peers msgs =
   List.concat_map
     (fun (dst, m) ->
       if List.mem dst recipients then
         Msgpass.Abd.handle peers.(dst) ~from:home m
-        |> List.filter (fun (back, _) -> back = home)
-        |> List.map snd
+        |> List.filter_map (fun (back, r) ->
+               if back = home then Some (dst, r) else None)
       else [])
     msgs
 
@@ -32,7 +32,7 @@ let stale_read ~n ~quorum =
   let write_msgs = Msgpass.Abd.begin_write writer ~reg:0 42 in
   let acks = deliver_to ~recipients:[ 0; 1 ] ~home:0 ~peers write_msgs in
   List.iter
-    (fun m -> ignore (Msgpass.Abd.handle writer ~from:0 m))
+    (fun (from, m) -> ignore (Msgpass.Abd.handle writer ~from m))
     acks;
   let write_done =
     match Msgpass.Abd.take_completion writer with
@@ -45,11 +45,13 @@ let stale_read ~n ~quorum =
   let replies = deliver_to ~recipients:[ 2; 3 ] ~home:2 ~peers read_msgs in
   let write_back =
     List.concat_map
-      (fun m -> Msgpass.Abd.handle reader ~from:2 m)
+      (fun (from, m) -> Msgpass.Abd.handle reader ~from m)
       replies
   in
   let wb_acks = deliver_to ~recipients:[ 2; 3 ] ~home:2 ~peers write_back in
-  List.iter (fun m -> ignore (Msgpass.Abd.handle reader ~from:2 m)) wb_acks;
+  List.iter
+    (fun (from, m) -> ignore (Msgpass.Abd.handle reader ~from m))
+    wb_acks;
   let read_result =
     match Msgpass.Abd.take_completion reader with
     | Some (Msgpass.Abd.Read_value v) -> Some v

@@ -219,142 +219,39 @@ type outcome = {
 let failed o =
   match o.verdict with L.Nonlinearizable _ -> true | L.Linearizable _ -> false
 
-(* The dynamic client fleet: Dynreg peers over a churning membership.
-   Slots [0 .. seed_members - 1] are seeded (writer 0, readers 1..);
-   the rest are late joiners whose read scripts start on [Activated].
-   A leaver's pending operation stays pending — finalize records it
-   incomplete, and the checker treats it as may-or-may-not have taken
-   effect, which is exactly the semantics of departing mid-operation. *)
-let build_dyn config dyn =
-  let n = config.n in
-  let initial = Membership.initial dyn.seed_members in
-  let regs =
-    Array.init n (fun me ->
-        Dynreg.create ~n ~me ~slack:dyn.churn_slack ?width_bits:dyn.width_bits
-          ~registers:1
-          ~init:(fun _ -> 0)
-          ~initial ())
-  in
-  let stamp = ref 0 in
-  let now () =
-    incr stamp;
-    !stamp
-  in
-  let history = ref [] in
-  let pending : (int * [ `W of int | `R ]) option array = Array.make n None in
-  let scripts =
-    Array.init n (fun me ->
-        if me = 0 then ref (List.init config.writes (fun i -> `W (i + 1)))
-        else if me < dyn.seed_members && me <= config.readers then
-          ref (List.init config.reads (fun _ -> `R))
-        else if me >= dyn.seed_members then
-          ref (List.init dyn.joiner_reads (fun _ -> `R))
-        else ref [])
-  in
-  let start_next me =
-    match !(scripts.(me)) with
-    | [] -> []
-    | op :: rest ->
-        scripts.(me) := rest;
-        pending.(me) <- Some (now (), op);
-        (match op with
-        | `W v -> Dynreg.begin_write regs.(me) ~reg:0 v
-        | `R -> Dynreg.begin_read regs.(me) ~reg:0)
-  in
-  let complete me c =
-    match pending.(me) with
-    | None -> ()
-    | Some (inv, kind) ->
-        pending.(me) <- None;
-        let op =
-          match (c, kind) with
-          | Dynreg.Wrote, `W v -> L.Write v
-          | Dynreg.Read_value v, `R -> L.Read v
-          | Dynreg.Wrote, `R -> L.Read 0
-          | Dynreg.Read_value v, `W _ -> L.Write v
-          | Dynreg.Activated, `W v -> L.Write v
-          | Dynreg.Activated, `R -> L.Read 0
-        in
-        history :=
-          { L.proc = me; reg = 0; op; inv; res = Some (now ()) } :: !history
-  in
-  let node me =
-    {
-      Net.on_start =
-        (fun () ->
-          let outs = Dynreg.start regs.(me) in
-          if Dynreg.is_active regs.(me) then outs @ start_next me else outs);
-      on_message =
-        (fun ~from m ->
-          let outs = Dynreg.handle regs.(me) ~from m in
-          match Dynreg.take_completion regs.(me) with
-          | None -> outs
-          | Some Dynreg.Activated -> outs @ start_next me
-          | Some c ->
-              complete me c;
-              outs @ start_next me);
-      on_leave = (fun () -> Dynreg.farewell regs.(me));
-    }
-  in
-  let net =
-    Net.create ~present:(fun pid -> pid < dyn.seed_members) ~n ~nodes:node ()
-  in
-  let finalize () =
-    let tail = ref [] in
-    Array.iteri
-      (fun me p ->
-        match p with
-        | Some (inv, `W v) ->
-            tail :=
-              { L.proc = me; reg = 0; op = L.Write v; inv; res = None } :: !tail
-        | Some (inv, `R) ->
-            tail :=
-              { L.proc = me; reg = 0; op = L.Read 0; inv; res = None } :: !tail
-        | None -> ())
-      pending;
-    List.rev_append !history !tail
-  in
-  (net, finalize)
-
 (* ------------------------------------------------------------------ *)
-(* The static fleet.
+(* The client harness.
 
-   ABD peers with operation scripts against register 0 — pid 0 writes
-   values [1..writes], pids [1..readers] run sequential reads — with
-   every invocation and response stamped on a shared logical clock, so
-   the recorded real-time order is exactly the callback order of the
-   simulation. The protocol is the [Abd] state machine flattened for
-   the hot path: all of its state lives in int arrays indexed by pid
-   (and [pid * n + reg] for the register copies), messages are {!Pack}ed
-   immediate ints pushed straight into the arena network, and the
-   history is recorded in growable int columns. Instances are pooled per
-   domain and per config: a run is [reset] (fill the arrays, rewind the
-   recorder, re-run the start scripts) rather than a rebuild, so the
-   steady-state cost of a chaos run is the fault loop itself.
+   Every chaos fleet is one pooled harness around a protocol node. The
+   harness owns what a run records: the operation scripts against
+   register 0 — pid 0 writes values [1..writes], the readers run
+   sequential reads, and late joiners (dynamic fleets only) run
+   [joiner_reads] reads once activated — the pending-operation table,
+   and every invocation and response stamped on a shared logical clock,
+   so the recorded real-time order is exactly the callback order of the
+   simulation. The node ({!packed_nodes} for the static ABD fleet,
+   {!dyn_nodes} for the Dynreg one) calls [next_op] to start a script
+   operation and [complete] when one returns; a handler's own sends go
+   out before the completion-triggered next operation's, and the
+   response stamp precedes the next invocation stamp.
 
-   Its oracle is a boxed build over [Abd] records (test/oracles/boxed.ml):
-   a qcheck differential there requires identical plans, histories,
-   counts, verdicts and hop masks from both. The subtle points it pins:
-   a handler's replies are sent before the completion-triggered next
-   script operation (the boxed [outs @ start_next me]); the response
-   stamp precedes the next invocation stamp; the quorum tie-break keeps
-   the latest-arrived reply among maximal timestamps (the boxed fold
-   over a newest-first reply list), reproduced here by the incremental
-   [ts >= best_ts] replacement rule; and still-pending operations close
-   the history in ascending pid order. *)
+   Fleets are pooled per domain and per fleet shape: a run is a [reset]
+   (fill the arrays, rewind the recorder, re-run the start scripts over
+   [Net.reset]) rather than a rebuild, so the steady-state cost of a
+   chaos run is the fault loop itself. *)
 
 (* Growable parallel int columns holding completed operations in
-   completion order: (proc, write?, value, inv stamp, res stamp). *)
+   completion order: (proc, value, inv stamp, res stamp). Pid 0 is the
+   only writer, so an operation is a write iff its proc is 0. *)
 type hist = {
   mutable h_len : int;
   mutable h_proc : int array;
-  mutable h_wr : int array;
   mutable h_val : int array;
   mutable h_inv : int array;
   mutable h_res : int array;
 }
 
-let hist_append h proc wr value inv res =
+let hist_append h proc value inv res =
   if h.h_len = Array.length h.h_proc then begin
     let g a =
       let b = Array.make (2 * Array.length a) 0 in
@@ -362,24 +259,139 @@ let hist_append h proc wr value inv res =
       b
     in
     h.h_proc <- g h.h_proc;
-    h.h_wr <- g h.h_wr;
     h.h_val <- g h.h_val;
     h.h_inv <- g h.h_inv;
     h.h_res <- g h.h_res
   end;
   let i = h.h_len in
   h.h_proc.(i) <- proc;
-  h.h_wr.(i) <- wr;
   h.h_val.(i) <- value;
   h.h_inv.(i) <- inv;
   h.h_res.(i) <- res;
   h.h_len <- i + 1
 
-type packed = {
-  q_ft : int Faults.t;
-  q_reset : unit -> unit;
-  q_finalize : unit -> int L.event list;
+type client = {
+  seeded : int;  (** slots [0..seeded-1] start present; the rest join *)
+  writes : int;
+  mutable writes_started : int;  (** also the value pid 0 is writing *)
+  script_reads : int array;  (** per pid: reads in its script *)
+  reads_left : int array;
+  pend_inv : int array;  (** per pid: invocation stamp, -1 when idle *)
+  mutable stamp : int;
+  h : hist;
 }
+
+let client_create config =
+  let n = config.n in
+  let seeded, joiner_reads =
+    match config.membership with
+    | None -> (n, 0)
+    | Some d -> (d.seed_members, d.joiner_reads)
+  in
+  let script_reads =
+    Array.init n (fun me ->
+        if me = 0 then 0
+        else if me >= seeded then joiner_reads
+        else if me <= config.readers then config.reads
+        else 0)
+  in
+  let col () = Array.make 64 0 in
+  {
+    seeded;
+    writes = config.writes;
+    writes_started = 0;
+    script_reads;
+    reads_left = Array.copy script_reads;
+    pend_inv = Array.make n (-1);
+    stamp = 0;
+    h = { h_len = 0; h_proc = col (); h_val = col (); h_inv = col (); h_res = col () };
+  }
+
+let client_reset c =
+  let n = Array.length c.pend_inv in
+  c.writes_started <- 0;
+  Array.blit c.script_reads 0 c.reads_left 0 n;
+  Array.fill c.pend_inv 0 n (-1);
+  c.stamp <- 0;
+  c.h.h_len <- 0
+
+(* Start [me]'s next script operation, stamping its invocation: a write
+   of [v >= 1], a read ([0]), or nothing left to run ([-1]). *)
+let next_op c me =
+  let k =
+    if me = 0 then
+      if c.writes_started < c.writes then begin
+        c.writes_started <- c.writes_started + 1;
+        c.writes_started
+      end
+      else -1
+    else if c.reads_left.(me) > 0 then begin
+      c.reads_left.(me) <- c.reads_left.(me) - 1;
+      0
+    end
+    else -1
+  in
+  if k >= 0 then begin
+    c.stamp <- c.stamp + 1;
+    c.pend_inv.(me) <- c.stamp
+  end;
+  k
+
+(* [me]'s operation returned: [wrote] for a write quorum, otherwise a
+   read of [value]. A completed write records the value pid 0 is
+   writing; a read records the value it returned. *)
+let complete c me ~wrote value =
+  let inv = c.pend_inv.(me) in
+  if inv >= 0 then begin
+    c.pend_inv.(me) <- -1;
+    c.stamp <- c.stamp + 1;
+    let value =
+      if not wrote then value else if me = 0 then c.writes_started else 0
+    in
+    hist_append c.h me value inv c.stamp
+  end
+
+(* Completed operations in completion order, then the still-pending ones
+   in ascending pid order — incomplete, which the checker reads as "may
+   or may not have taken effect": a crashed process's or a leaver's
+   last operation. *)
+let finalize c =
+  let op proc value = if proc = 0 then L.Write value else L.Read value in
+  let tail = ref [] in
+  for me = Array.length c.pend_inv - 1 downto 0 do
+    let inv = c.pend_inv.(me) in
+    if inv >= 0 then begin
+      let op = op me (if me = 0 then c.writes_started else 0) in
+      tail := { L.proc = me; reg = 0; op; inv; res = None } :: !tail
+    end
+  done;
+  let h = c.h in
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      let proc = h.h_proc.(i) in
+      go (i - 1)
+        ({ L.proc; reg = 0; op = op proc h.h_val.(i); inv = h.h_inv.(i);
+           res = Some h.h_res.(i) }
+        :: acc)
+  in
+  go (h.h_len - 1) !tail
+
+(* ------------------------------------------------------------------ *)
+(* The static node: ABD flattened for the hot path.
+
+   The protocol is the [Abd] state machine with all of its state in int
+   arrays indexed by pid (and [pid * n + reg] for the register copies),
+   and messages {!Pack}ed into immediate ints pushed straight into the
+   arena network, so the send/deliver path allocates nothing.
+
+   Its oracle is a boxed build over [Abd] records (test/oracles/boxed.ml):
+   a qcheck differential there requires identical plans, histories,
+   counts, verdicts and hop masks from both. Besides the harness's
+   ordering rules, the subtle point it pins is the quorum tie-break: the
+   latest-arrived reply among maximal timestamps wins (the boxed fold
+   over a newest-first reply list), reproduced here by the incremental
+   [ts >= best_ts] replacement rule. *)
 
 (* Phase codes, mirroring [Abd.phase]. *)
 let ph_idle = 0
@@ -387,12 +399,7 @@ let ph_writing = 1
 let ph_collecting = 2
 let ph_writing_back = 3
 
-let packed_create config =
-  (* Once per pooled config: past [validate], every message field fits
-     the unchecked {!Pack} encoders. *)
-  (match validate config with
-  | Error e -> invalid_arg ("Chaos: " ^ e)
-  | Ok _ -> ());
+let packed_nodes config c =
   let n = config.n in
   let quorum = Option.value config.quorum ~default:(n - config.t) in
   let nn = n * n in
@@ -403,93 +410,36 @@ let packed_create config =
      through Writing_back. *)
   let copies_ts = Array.make nn 0 and copies_val = Array.make nn 0 in
   let my_ts = Array.make nn 0 in
-  let next_op = Array.make n 0 in
+  let next_op_id = Array.make n 0 in
   let phase = Array.make n ph_idle in
   let ph_op = Array.make n 0 and ph_reg = Array.make n 0 in
   let ph_cnt = Array.make n 0 in
   let ph_ts = Array.make n 0 and ph_val = Array.make n 0 in
-  let done_kind = Array.make n 0 (* 0 none, 1 Wrote, 2 Read_value *) in
-  let done_val = Array.make n 0 in
-  (* Scripts: pid 0 writes values [1..writes]; pids [1..readers] read.
-     [pend_kind]: -1 none, 0 pending read, v >= 1 pending write of v. *)
-  let writes_started = ref 0 in
-  let reads_left = Array.make n 0 in
-  let init_reads () =
-    for i = 0 to n - 1 do
-      reads_left.(i) <-
-        (if i >= 1 && i <= config.readers then config.reads else 0)
-    done
-  in
-  init_reads ();
-  let pend_inv = Array.make n (-1) and pend_kind = Array.make n (-1) in
-  let stamp = ref 0 in
-  let h =
-    {
-      h_len = 0;
-      h_proc = Array.make 64 0;
-      h_wr = Array.make 64 0;
-      h_val = Array.make 64 0;
-      h_inv = Array.make 64 0;
-      h_res = Array.make 64 0;
-    }
-  in
   let nodes ~send me =
     let base = me * n in
-    let start_next () =
-      if me = 0 then begin
-        if !writes_started < config.writes then begin
-          incr writes_started;
-          let v = !writes_started in
-          incr stamp;
-          pend_inv.(0) <- !stamp;
-          pend_kind.(0) <- v;
-          next_op.(0) <- next_op.(0) + 1;
-          my_ts.(base) <- my_ts.(base) + 1;
-          phase.(0) <- ph_writing;
-          ph_op.(0) <- next_op.(0);
-          ph_cnt.(0) <- 0;
-          let m =
-            Pack.write_req ~reg:0 ~ts:my_ts.(base) ~value:v ~op:next_op.(0)
-          in
-          for j = 0 to n - 1 do
-            send ~dst:j m
-          done
-        end
-      end
-      else if me <= config.readers && reads_left.(me) > 0 then begin
-        reads_left.(me) <- reads_left.(me) - 1;
-        incr stamp;
-        pend_inv.(me) <- !stamp;
-        pend_kind.(me) <- 0;
-        next_op.(me) <- next_op.(me) + 1;
-        phase.(me) <- ph_collecting;
-        ph_op.(me) <- next_op.(me);
-        ph_reg.(me) <- 0;
-        ph_cnt.(me) <- 0;
-        let m = Pack.read_req ~reg:0 ~op:next_op.(me) in
-        for j = 0 to n - 1 do
-          send ~dst:j m
-        done
-      end
+    let broadcast m =
+      for j = 0 to n - 1 do
+        send ~dst:j m
+      done
     in
-    (* A completion only ever arises from a Write_ack (as in [Abd]); the
-       boxed node then records the operation and starts the next script
-       entry — response stamp before the next invocation stamp. *)
-    let complete_and_continue () =
-      let dk = done_kind.(me) in
-      if dk <> 0 then begin
-        done_kind.(me) <- 0;
-        let inv = pend_inv.(me) in
-        if inv >= 0 then begin
-          let kind = pend_kind.(me) in
-          pend_inv.(me) <- -1;
-          pend_kind.(me) <- -1;
-          incr stamp;
-          if kind >= 1 then
-            hist_append h me 1 (if dk = 1 then kind else done_val.(me)) inv !stamp
-          else hist_append h me 0 (if dk = 1 then 0 else done_val.(me)) inv !stamp
-        end;
-        start_next ()
+    let start_next () =
+      let k = next_op c me in
+      if k >= 0 then begin
+        next_op_id.(me) <- next_op_id.(me) + 1;
+        ph_op.(me) <- next_op_id.(me);
+        ph_cnt.(me) <- 0;
+        if k >= 1 then begin
+          my_ts.(base) <- my_ts.(base) + 1;
+          phase.(me) <- ph_writing;
+          broadcast
+            (Pack.write_req ~reg:0 ~ts:my_ts.(base) ~value:k
+               ~op:next_op_id.(me))
+        end
+        else begin
+          phase.(me) <- ph_collecting;
+          ph_reg.(me) <- 0;
+          broadcast (Pack.read_req ~reg:0 ~op:next_op_id.(me))
+        end
       end
     in
     let p_message ~from m =
@@ -512,18 +462,18 @@ let packed_create config =
              ~op:(Pack.op m))
       end
       else if tag = Pack.t_write_ack then begin
-        let op = Pack.op m in
+        (* The only completion point, as in [Abd]. *)
         let ph = phase.(me) in
-        if (ph = ph_writing || ph = ph_writing_back) && ph_op.(me) = op then begin
+        if (ph = ph_writing || ph = ph_writing_back) && ph_op.(me) = Pack.op m
+        then begin
           let acks = ph_cnt.(me) + 1 in
           if acks >= quorum then begin
             phase.(me) <- ph_idle;
-            done_kind.(me) <- (if ph = ph_writing then 1 else 2);
-            done_val.(me) <- ph_val.(me)
+            complete c me ~wrote:(ph = ph_writing) ph_val.(me);
+            start_next ()
           end
           else ph_cnt.(me) <- acks
-        end;
-        complete_and_continue ()
+        end
       end
       else begin
         (* Read_reply *)
@@ -547,10 +497,7 @@ let packed_create config =
               copies_ts.(idx) <- best_ts;
               copies_val.(idx) <- best
             end;
-            let m = Pack.write_req ~reg ~ts:best_ts ~value:best ~op in
-            for j = 0 to n - 1 do
-              send ~dst:j m
-            done
+            broadcast (Pack.write_req ~reg ~ts:best_ts ~value:best ~op)
           end
           else ph_cnt.(me) <- cnt
         end
@@ -558,90 +505,130 @@ let packed_create config =
     in
     { Net.p_start = start_next; p_message; p_leave = ignore }
   in
-  let net = Net.create_push ~n ~nodes () in
-  let ft = Faults.wrap net in
   let reset () =
     Array.fill copies_ts 0 nn 0;
     Array.fill copies_val 0 nn 0;
     Array.fill my_ts 0 nn 0;
-    Array.fill next_op 0 n 0;
+    Array.fill next_op_id 0 n 0;
     Array.fill phase 0 n ph_idle;
     Array.fill ph_op 0 n 0;
     Array.fill ph_reg 0 n 0;
     Array.fill ph_cnt 0 n 0;
     Array.fill ph_ts 0 n 0;
-    Array.fill ph_val 0 n 0;
-    Array.fill done_kind 0 n 0;
-    Array.fill done_val 0 n 0;
-    writes_started := 0;
-    init_reads ();
-    Array.fill pend_inv 0 n (-1);
-    Array.fill pend_kind 0 n (-1);
-    stamp := 0;
-    h.h_len <- 0;
-    Faults.reset ft;
-    Net.reset net
+    Array.fill ph_val 0 n 0
   in
-  let finalize () =
-    let tail = ref [] in
-    for me = n - 1 downto 0 do
-      let inv = pend_inv.(me) in
-      if inv >= 0 then begin
-        let kind = pend_kind.(me) in
-        let op = if kind >= 1 then L.Write kind else L.Read 0 in
-        tail := { L.proc = me; reg = 0; op; inv; res = None } :: !tail
-      end
-    done;
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        let op =
-          if h.h_wr.(i) = 1 then L.Write h.h_val.(i) else L.Read h.h_val.(i)
-        in
-        go (i - 1)
-          ({ L.proc = h.h_proc.(i); reg = 0; op; inv = h.h_inv.(i);
-             res = Some h.h_res.(i) }
-          :: acc)
+  (nodes, reset)
+
+(* The dynamic node: a {!Dynreg} peer, whose late joiners start their
+   scripts on [Activated]. A leaver's pending operation stays pending —
+   finalize records it incomplete, which is exactly the semantics of
+   departing mid-operation. Reset rebuilds the peers; they are a few
+   small records, and Dynreg allocates per message anyway. *)
+let dyn_nodes config d c =
+  let n = config.n in
+  let initial = Membership.initial d.seed_members in
+  let fresh me =
+    Dynreg.create ~n ~me ~slack:d.churn_slack ?width_bits:d.width_bits
+      ~registers:1
+      ~init:(fun _ -> 0)
+      ~initial ()
+  in
+  let regs = Array.init n fresh in
+  let nodes ~send me =
+    let out = List.iter (fun (dst, m) -> send ~dst m) in
+    let start_next () =
+      let k = next_op c me in
+      if k >= 1 then out (Dynreg.begin_write regs.(me) ~reg:0 k)
+      else if k = 0 then out (Dynreg.begin_read regs.(me) ~reg:0)
     in
-    go (h.h_len - 1) !tail
+    {
+      Net.p_start =
+        (fun () ->
+          out (Dynreg.start regs.(me));
+          if Dynreg.is_active regs.(me) then start_next ());
+      p_message =
+        (fun ~from m ->
+          out (Dynreg.handle regs.(me) ~from m);
+          match Dynreg.take_completion regs.(me) with
+          | None -> ()
+          | Some Dynreg.Activated -> start_next ()
+          | Some Dynreg.Wrote ->
+              complete c me ~wrote:true 0;
+              start_next ()
+          | Some (Dynreg.Read_value v) ->
+              complete c me ~wrote:false v;
+              start_next ());
+      p_leave = (fun () -> out (Dynreg.farewell regs.(me)));
+    }
   in
-  { q_ft = ft; q_reset = reset; q_finalize = finalize }
+  (nodes, fun () -> Array.iteri (fun me _ -> regs.(me) <- fresh me) regs)
 
-(* One pooled instance per (domain, config): parallel campaign workers
-   each grow their own pool in domain-local storage, so no packed state
-   is ever shared across domains. *)
-let pool : (config, packed) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+(* A pooled fleet: the harness, a protocol node's reset, and the
+   fault-wrapped network the two speak over. The message type differs
+   between the nodes, so it packs away. *)
+type fleet =
+  | Fleet : {
+      ft : 'm Faults.t;
+      client : client;
+      reset_nodes : unit -> unit;
+    }
+      -> fleet
 
-let packed_acquire config =
-  let tbl = Domain.DLS.get pool in
-  let p =
-    match Hashtbl.find_opt tbl config with
-    | Some p -> p
-    | None ->
-        let p = packed_create config in
-        Hashtbl.add tbl config p;
-        p
+let fleet_create config =
+  let c = client_create config in
+  let present pid = pid < c.seeded in
+  let build (nodes, reset_nodes) =
+    Fleet
+      {
+        ft = Faults.wrap (Net.create_push ~present ~n:config.n ~nodes ());
+        client = c;
+        reset_nodes;
+      }
   in
-  p.q_reset ();
-  p
-
-(* Every driver below funnels through [prepare]: the pooled packed fleet
-   for static configs, a fresh Dynreg build for dynamic ones. The two
-   speak different message types, so the type packs away. *)
-type prepared = Prepared : 'm Faults.t * (unit -> int L.event list) -> prepared
-
-let prepare config =
   match config.membership with
-  | None ->
-      let p = packed_acquire config in
-      Prepared (p.q_ft, p.q_finalize)
-  | Some dyn ->
-      let net, finalize = build_dyn config dyn in
-      Prepared (Faults.wrap net, finalize)
+  | None -> build (packed_nodes config c)
+  | Some d -> build (dyn_nodes config d c)
 
-let outcome_of ?rng_point ft finalize =
-  let history = finalize () in
+(* One pooled fleet per (domain, fleet shape): parallel campaign
+   workers each grow their own pool in domain-local storage, so no fleet
+   is ever shared across domains. The key is what the fleet is built
+   from — not the fault profile, crash budget or event cap, which the
+   fleet swarm re-rolls on every fresh run. *)
+let pool = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let acquire config =
+  (* Past [validate], every message field fits the unchecked {!Pack}
+     encoders and every {!Dynreg.create} argument is in range. *)
+  (match validate config with
+  | Error e -> invalid_arg ("Chaos: " ^ e)
+  | Ok _ -> ());
+  let tbl = Domain.DLS.get pool in
+  let shape =
+    ( config.n,
+      config.t,
+      config.quorum,
+      config.writes,
+      config.readers,
+      config.reads,
+      config.membership )
+  in
+  let f =
+    match Hashtbl.find_opt tbl shape with
+    | Some f -> f
+    | None ->
+        let f = fleet_create config in
+        Hashtbl.add tbl shape f;
+        f
+  in
+  let (Fleet { ft; client; reset_nodes }) = f in
+  client_reset client;
+  reset_nodes ();
+  Faults.reset ft;
+  Net.reset ~present:(fun pid -> pid < client.seeded) (Faults.net ft);
+  f
+
+let outcome_of ?rng_point (Fleet { ft; client; _ }) =
+  let history = finalize client in
   let plan = Faults.compiled_plan ft in
   {
     verdict =
@@ -698,9 +685,9 @@ let run_at point config =
       leave_at = config.profile.leave_at @ point.churn.Membership.leave_at;
     }
   in
-  let (Prepared (ft, finalize)) = prepare config in
+  let (Fleet { ft; _ } as f) = acquire config in
   Faults.run_random ~rng ~profile ~max_events:config.max_events ft;
-  outcome_of ~rng_point:point ft finalize
+  outcome_of ~rng_point:point f
 
 let run_random ~seed config =
   let rng = Bits.Rng.make seed in
@@ -709,9 +696,9 @@ let run_random ~seed config =
   run_at { rng_state = Bits.Rng.state rng; crash_at; churn } config
 
 let run_compiled config compiled =
-  let (Prepared (ft, finalize)) = prepare config in
+  let (Fleet { ft; _ } as f) = acquire config in
   Faults.replay_compiled ft compiled;
-  outcome_of ft finalize
+  outcome_of f
 
 let run_plan config plan =
   (* Compiling first both validates the (possibly hand-edited) plan's
@@ -894,8 +881,9 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
          tally s (run_random ~seed:s config)
        done
      else begin
-       (* Seeded runs are mutually independent — each builds its own
-          fleet, network and rng — so the campaign loop fans out as-is.
+       (* Seeded runs are mutually independent — each resets a fleet
+          from its own domain's pool and draws from its own rng — so the
+          campaign loop fans out as-is.
           Workers skip (rather than start) runs past the deadline; the
           fold below consumes outcomes in seed order and stops at the
           first skipped one, mirroring the sequential contiguous-prefix

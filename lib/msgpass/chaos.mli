@@ -1,10 +1,14 @@
 (** Chaos campaigns: ABD register emulations under injected faults, with
     machine-checked atomicity verdicts and shrunk counterexamples.
 
-    One run builds an [n]-process {!Net} of ABD peers ({!Abd}), gives
-    process 0 a script of writes to register 0 and processes [1..readers] a
-    script of sequential reads, drives deliveries through a {!Faults} layer,
-    and records every operation's invocation/response on a logical clock.
+    One run drives an [n]-process {!Net} of ABD peers (the {!Abd} state
+    machine, flattened and {!Pack}ed), gives process 0 a script of writes
+    to register 0 and processes [1..readers] a script of sequential reads,
+    drives deliveries through a {!Faults} layer, and records every
+    operation's invocation/response on a logical clock. Fleets are pooled
+    per domain and per fleet shape ([n], [t], [quorum], [writes],
+    [readers], [reads], [membership]): a run resets a pooled fleet rather
+    than building one.
     The recorded history is handed to {!Check.Linearize}: a sound quorum
     ([n - t], [t < n/2]) must yield [Linearizable] under any plan — crash,
     drop, duplication, reordering, delay — while the [t = n/2] frontier
@@ -22,8 +26,8 @@
     over a churning membership, with an α-bounded schedule of
     enter/leave events rolled per run (the ACEKW adversary) and quorums
     sized against gossiped views widened by [churn_slack]. The same
-    checker, shrinker and replay machinery applies — churn events are
-    ordinary plan actions. *)
+    client harness, pool, checker, shrinker and replay machinery applies
+    — churn events are ordinary plan actions. *)
 
 type dyn = {
   seed_members : int;  (** slots [0..seed_members-1] present at start *)
@@ -47,9 +51,9 @@ type config = {
   profile : Faults.profile;
   max_events : int;
   membership : dyn option;
-      (** [None]: the static ABD fleet, pooled and {!Pack}ed. [Some]: the
-          dynamic {!Dynreg} fleet ([t] and [quorum] are then unused —
-          quorums come from views). *)
+      (** [None]: the static ABD fleet, {!Pack}ed. [Some]: the dynamic
+          {!Dynreg} fleet ([t] and [quorum] are then unused — quorums
+          come from views). *)
 }
 
 val sound : ?n:int -> ?t:int -> unit -> config
@@ -90,8 +94,8 @@ val validate : config -> (config * string list, string) result
     [Ok] pairs a possibly-clamped config with human-readable warnings
     (today: [crashes > t] clamps to [t]). {!campaign} applies this
     itself — hard errors raise [Invalid_argument], warnings print to
-    stderr once per campaign — and every run of a static config raises
-    [Invalid_argument] on a hard error. *)
+    stderr once per campaign — and every run raises [Invalid_argument]
+    on a hard error. *)
 
 type rng_point = {
   rng_state : int64;
@@ -138,7 +142,8 @@ val run_at : rng_point -> config -> outcome
     run of a traced campaign is replayable from the trace alone. *)
 
 val run_plan : config -> Faults.plan -> outcome
-(** Deterministic replay of a plan against a fresh network — bit-for-bit:
+(** Deterministic replay of a plan against a freshly reset fleet —
+    bit-for-bit:
     [run_plan c (Faults.decompile (run_random ~seed c).plan)] reproduces
     the run. The plan is {!Faults.compile}d first, so out-of-range
     operands raise [Invalid_argument] before anything executes. *)

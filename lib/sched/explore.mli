@@ -10,10 +10,10 @@
     reduction). Together these preserve the set of reachable {e final}
     states — every distinct terminal state is still visited exactly once —
     while the number of explored nodes collapses from the full
-    [C(2L, L) ~ 4^L] interleaving tree. {!interleavings_naive} is the
-    original copy-per-branch walker, kept as the reference oracle for
-    differential tests. See DESIGN.md "Exploration engine" for the
-    soundness argument. *)
+    [C(2L, L) ~ 4^L] interleaving tree. The original copy-per-branch
+    walker is the reference oracle of the differential tests
+    (test/oracles/naive_explore.ml). See DESIGN.md "Exploration engine"
+    for the soundness argument. *)
 
 type stats = {
   nodes : int;  (** DFS nodes expanded (including terminals) *)
@@ -114,7 +114,7 @@ val interleavings :
 (** [explore] with no crashes and the default reductions: the visitor runs
     once per distinct reachable final state, and the outcome says whether
     the enumeration was complete. Callers that need one visit per schedule
-    (counting, probability weighting) use {!interleavings_naive} or
+    (counting, probability weighting) use {!count} or
     [explore ~dedup:false ~por:false]. *)
 
 val interleavings_with_crashes :
@@ -126,27 +126,6 @@ val interleavings_with_crashes :
   (('v, 'i, 'a) Scheduler.state -> unit) ->
   outcome
 (** [explore ~max_crashes] keeping only the outcome. *)
-
-val interleavings_naive :
-  ?max_steps:int ->
-  ?on_truncated:(('v, 'i, 'a) Scheduler.state -> unit) ->
-  init:(unit -> ('v, 'i, 'a) Scheduler.state) ->
-  (('v, 'i, 'a) Scheduler.state -> unit) ->
-  unit
-(** The original engine: fork the full state ({!Scheduler.copy}) at every
-    branch, visit once per maximal schedule, no reductions. Kept as the
-    reference oracle — the differential property tests assert the optimized
-    engine reaches exactly the same terminal states. *)
-
-val interleavings_with_crashes_naive :
-  ?max_steps:int ->
-  ?on_truncated:(('v, 'i, 'a) Scheduler.state -> unit) ->
-  max_crashes:int ->
-  init:(unit -> ('v, 'i, 'a) Scheduler.state) ->
-  (('v, 'i, 'a) Scheduler.state -> unit) ->
-  unit
-(** Copy-per-branch walker with crash branching (canonical increasing-pid
-    crash order, so each crash set is enumerated once per position). *)
 
 val find :
   ?max_steps:int ->

@@ -328,12 +328,27 @@ let test_faults_drop_and_duplicate () =
 
 (* Regression: chaos campaigns are a pure function of the seed. Every
    shrunk counterexample in EXPERIMENTS.md is quoted by seed, so a drift
-   in the RNG stream or the fault layer would silently invalidate them. *)
+   in the RNG stream or the fault layer would silently invalidate them.
+   Between the two runs, other runs go through the pool — one of the
+   same fleet shape (a different profile and event cap, so the same
+   pooled fleet) and one of another shape — so state leaking through a
+   pooled fleet's reset shows up as a differing second run. *)
 let test_chaos_deterministic () =
   let module C = Msgpass.Chaos in
   List.iter
     (fun (label, config, seed) ->
       let a = C.run_random ~seed config in
+      let same_shape =
+        {
+          config with
+          C.profile = { config.C.profile with Msgpass.Faults.drop = 0.3 };
+          max_events = 300;
+        }
+      in
+      ignore (C.run_random ~seed:(seed + 1) same_shape);
+      ignore
+        (C.run_random ~seed
+           (if config.C.membership = None then C.churn () else C.sound ()));
       let b = C.run_random ~seed config in
       Alcotest.(check bool)
         (label ^ ": identical fault plan")
@@ -345,6 +360,15 @@ let test_chaos_deterministic () =
         (C.failed a = C.failed b);
       Alcotest.(check int) (label ^ ": identical event count") a.C.events
         b.C.events;
+      Alcotest.(check bool)
+        (label ^ ": identical history")
+        true
+        (a.C.history = b.C.history);
+      Alcotest.(check int)
+        (label ^ ": identical delivery count")
+        a.C.deliveries b.C.deliveries;
+      Alcotest.(check int) (label ^ ": identical hop mask") a.C.hop_mask
+        b.C.hop_mask;
       (* And the plan really replays to the same verdict. *)
       let r = C.run_plan config (Msgpass.Faults.decompile a.C.plan) in
       Alcotest.(check bool)
@@ -828,17 +852,20 @@ let prop_fleet_mutants_replay =
 let test_fleet_jobs_invariant () =
   let module C = Msgpass.Chaos in
   let module F = Msgpass.Fleet in
-  let report jobs =
-    Format.asprintf "%a" F.pp_report
-      (F.campaign ~generations:12 ~batch:8 ~jobs ~seed:9 (C.frontier ()))
-  in
-  let seq = report 1 in
   List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d renders identically" jobs)
-        seq (report jobs))
-    [ 2; 4 ]
+    (fun (label, config) ->
+      let report jobs =
+        Format.asprintf "%a" F.pp_report
+          (F.campaign ~generations:12 ~batch:8 ~jobs ~seed:9 config)
+      in
+      let seq = report 1 in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: jobs=%d renders identically" label jobs)
+            seq (report jobs))
+        [ 2; 4 ])
+    [ ("frontier", C.frontier ()); ("churn", C.churn ()) ]
 
 let rec rm_rf path =
   if Sys.file_exists path then

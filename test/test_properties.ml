@@ -259,10 +259,10 @@ let prop_explore_differential =
       in
       let naive = ref [] in
       (if max_crashes = 0 then
-         Sched.Explore.interleavings_naive ~init (fun st ->
+         Oracles.Naive_explore.interleavings ~init (fun st ->
              naive := signature st :: !naive)
        else
-         Sched.Explore.interleavings_with_crashes_naive ~max_crashes ~init
+         Oracles.Naive_explore.interleavings_with_crashes ~max_crashes ~init
            (fun st -> naive := signature st :: !naive));
       let raw = ref [] in
       let raw_stats =

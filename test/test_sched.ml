@@ -260,7 +260,7 @@ let terminal_signature s =
 let test_explore_reductions_5x () =
   let init = writers_3x4_init in
   let naive = ref [] in
-  Sched.Explore.interleavings_naive ~init (fun s ->
+  Oracles.Naive_explore.interleavings ~init (fun s ->
       naive := terminal_signature s :: !naive);
   Alcotest.(check int) "naive schedule count: 12!/(4!)^3" 34650
     (List.length !naive);
@@ -318,7 +318,7 @@ let test_explore_canonical_crash_order () =
     (List.length (List.sort_uniq compare !states));
   (* And the naive crash walker agrees with the raw engine. *)
   let naive = ref 0 in
-  Sched.Explore.interleavings_with_crashes_naive ~max_crashes:2 ~init
+  Oracles.Naive_explore.interleavings_with_crashes ~max_crashes:2 ~init
     (fun _ -> incr naive);
   Alcotest.(check int) "naive crash walker canonical too" 7 !naive
 
@@ -466,7 +466,7 @@ let collect_fold s acc = terminal_signature s :: acc
 let test_par_differential_sets () =
   let init = writers_3x4_init in
   let naive = ref [] in
-  Sched.Explore.interleavings_naive ~init (fun s ->
+  Oracles.Naive_explore.interleavings ~init (fun s ->
       naive := terminal_signature s :: !naive);
   let seq = ref [] in
   ignore
@@ -490,7 +490,7 @@ let test_par_differential_crashes () =
      walker, branchy enough to split across units. *)
   let init = writers_init ~n:3 ~len:2 in
   let naive = ref [] in
-  Sched.Explore.interleavings_with_crashes_naive ~max_crashes:1 ~init
+  Oracles.Naive_explore.interleavings_with_crashes ~max_crashes:1 ~init
     (fun s -> naive := terminal_signature s :: !naive);
   let seq = ref [] in
   ignore
