@@ -143,7 +143,8 @@ diff "$tmp_seq" "$tmp_par"
 echo "== fleet smoke"
 fleet_j1=$(mktemp -d) && fleet_j2=$(mktemp -d)
 fleet_churn=$(mktemp -d) && fleet_churn_j2=$(mktemp -d)
-trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_churn_j2"' EXIT
+fleet_torn=$(mktemp -d)
+trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_churn_j2" "$fleet_torn"' EXIT
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
   --corpus "$fleet_j1" --jobs 1 --expect witness > "$tmp_seq"
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
@@ -167,6 +168,20 @@ if grep -q 'cache: 0 hit(s)' "$tmp_par"; then
   echo "check.sh: fleet run cache recorded no hits on the corpus re-fill smoke" >&2
   exit 1
 fi
+# Torn-tail smoke: a kill mid-append leaves corpus.jsonl cut mid-line.
+# Cut 40 bytes off a copy; the resume must drop the torn last line, say
+# so on stderr, and finish.
+cp -R "$fleet_j1/." "$fleet_torn"
+head -c -40 "$fleet_torn/corpus.jsonl" > "$tmp_seq"
+cp "$tmp_seq" "$fleet_torn/corpus.jsonl"
+if ! dune exec bin/boundedreg.exe -- fleet --frontier --generations 5 \
+  --seed 13 --corpus "$fleet_torn" > /dev/null 2> "$tmp_par"; then
+  cat "$tmp_par" >&2
+  echo "check.sh: fleet did not resume over a torn corpus tail" >&2
+  exit 1
+fi
+cat "$tmp_par"
+grep -q 'corpus.jsonl:[0-9]*: dropped a torn last line' "$tmp_par"
 # Churn fleet: witness files for dynamic-membership configs embed the
 # membership block (seed members, churn rate/window/slack, width), so a
 # dyn witness must round-trip through --replay bit-for-bit too. The

@@ -11,14 +11,90 @@ type action =
 
 type plan = action list
 
-let pp_action ppf = function
-  | Deliver { src; dst } -> Format.fprintf ppf "deliver %d>%d" src dst
-  | Drop { src; dst } -> Format.fprintf ppf "drop %d>%d" src dst
-  | Duplicate { src; dst } -> Format.fprintf ppf "dup %d>%d" src dst
-  | Defer { src; dst } -> Format.fprintf ppf "defer %d>%d" src dst
-  | Crash pid -> Format.fprintf ppf "crash %d" pid
-  | Enter pid -> Format.fprintf ppf "enter %d" pid
-  | Leave pid -> Format.fprintf ppf "leave %d" pid
+(* {2 Opcode coding}
+
+   Internally an action is one immediate int — [kind:3 | a:8 | b:8] —
+   so the run record is a growable [int array] rather than a consed
+   list, a compiled plan is a dense walkable array, and the random
+   driver never constructs a variant on its hot path. Eight bits per
+   operand is comfortably above [Net]'s 61-slot cap. *)
+
+let k_deliver = 0
+let k_drop = 1
+let k_duplicate = 2
+let k_defer = 3
+let k_crash = 4
+let k_enter = 5
+let k_leave = 6
+let encode k a b = k lor (a lsl 3) lor (b lsl 11)
+let code_kind c = c land 7
+let code_a c = (c lsr 3) land 0xff
+let code_b c = (c lsr 11) land 0xff
+
+let code_of_action = function
+  | Deliver { src; dst } -> encode k_deliver src dst
+  | Drop { src; dst } -> encode k_drop src dst
+  | Duplicate { src; dst } -> encode k_duplicate src dst
+  | Defer { src; dst } -> encode k_defer src dst
+  | Crash pid -> encode k_crash pid 0
+  | Enter pid -> encode k_enter pid 0
+  | Leave pid -> encode k_leave pid 0
+
+let action_of_code c =
+  let k = code_kind c and a = code_a c and b = code_b c in
+  if k = k_deliver then Deliver { src = a; dst = b }
+  else if k = k_drop then Drop { src = a; dst = b }
+  else if k = k_duplicate then Duplicate { src = a; dst = b }
+  else if k = k_defer then Defer { src = a; dst = b }
+  else if k = k_crash then Crash a
+  else if k = k_enter then Enter a
+  else Leave a
+
+(* {2 Rendering}
+
+   One renderer serves every textual form of an action — [pp_action],
+   [action_to_string], plan JSON and corpus lines — so they cannot
+   drift apart. The corpus files of the chaos fleet must be
+   human-editable, so this text is the grammar quoted in EXPERIMENTS.md,
+   and a plan is either the ";"-separated rendering of [pp_plan] or a
+   JSON array of action strings (one corpus line). Keywords and the
+   operands a compiled plan can hold come from tables, so rendering a
+   compiled plan formats no integer. *)
+
+let keyword =
+  [| "deliver "; "drop "; "dup "; "defer "; "crash "; "enter "; "leave " |]
+
+let operand_text = Array.init 256 string_of_int
+
+let add_operand b v =
+  Buffer.add_string b
+    (if v >= 0 && v < 256 then operand_text.(v) else string_of_int v)
+
+let add_op b k x y =
+  Buffer.add_string b keyword.(k);
+  add_operand b x;
+  if k <= k_defer then begin
+    Buffer.add_char b '>';
+    add_operand b y
+  end
+
+let add_code b c = add_op b (code_kind c) (code_a c) (code_b c)
+
+let add_action b = function
+  | Deliver { src; dst } -> add_op b k_deliver src dst
+  | Drop { src; dst } -> add_op b k_drop src dst
+  | Duplicate { src; dst } -> add_op b k_duplicate src dst
+  | Defer { src; dst } -> add_op b k_defer src dst
+  | Crash pid -> add_op b k_crash pid 0
+  | Enter pid -> add_op b k_enter pid 0
+  | Leave pid -> add_op b k_leave pid 0
+
+let action_to_string a =
+  let b = Buffer.create 16 in
+  add_action b a;
+  Buffer.contents b
+
+let pp_action ppf a = Format.pp_print_string ppf (action_to_string a)
 
 let pp_plan ppf plan =
   Format.fprintf ppf "@[<hov>%a@]"
@@ -34,14 +110,8 @@ let deliveries plan =
 
 (* {2 Plan codecs}
 
-   The corpus files of the chaos fleet must be human-editable, so the
-   serialized form of an action is exactly what [pp_action] prints —
-   the grammar quoted in EXPERIMENTS.md — and a plan is either the
-   ";"-separated rendering of [pp_plan] or a JSON array of action
-   strings (one corpus line). Parsing accepts any whitespace where the
-   pretty-printer may break a line. *)
-
-let action_to_string a = Format.asprintf "%a" pp_action a
+   Parsing accepts any whitespace where the pretty-printer may break a
+   line. *)
 
 let action_of_string s =
   let s = String.trim s in
@@ -120,46 +190,20 @@ let plan_of_json j =
         (0, Ok []) items
       |> snd |> Result.map List.rev
 
-(* {2 Opcode coding}
-
-   Internally an action is one immediate int — [kind:3 | a:8 | b:8] —
-   so the run record is a growable [int array] rather than a consed
-   list, a compiled plan is a dense walkable array, and the random
-   driver never constructs a variant on its hot path. Eight bits per
-   operand is comfortably above [Net]'s 61-slot cap. *)
-
-let k_deliver = 0
-let k_drop = 1
-let k_duplicate = 2
-let k_defer = 3
-let k_crash = 4
-let k_enter = 5
-let k_leave = 6
-let encode k a b = k lor (a lsl 3) lor (b lsl 11)
-let code_kind c = c land 7
-let code_a c = (c lsr 3) land 0xff
-let code_b c = (c lsr 11) land 0xff
-
-let code_of_action = function
-  | Deliver { src; dst } -> encode k_deliver src dst
-  | Drop { src; dst } -> encode k_drop src dst
-  | Duplicate { src; dst } -> encode k_duplicate src dst
-  | Defer { src; dst } -> encode k_defer src dst
-  | Crash pid -> encode k_crash pid 0
-  | Enter pid -> encode k_enter pid 0
-  | Leave pid -> encode k_leave pid 0
-
-let action_of_code c =
-  let k = code_kind c and a = code_a c and b = code_b c in
-  if k = k_deliver then Deliver { src = a; dst = b }
-  else if k = k_drop then Drop { src = a; dst = b }
-  else if k = k_duplicate then Duplicate { src = a; dst = b }
-  else if k = k_defer then Defer { src = a; dst = b }
-  else if k = k_crash then Crash a
-  else if k = k_enter then Enter a
-  else Leave a
-
 type compiled = int array
+
+(* Action text is keywords, digits, one space and ">": nothing JSON
+   escapes, so quoting it directly yields exactly the bytes
+   [Obs.Json.to_buffer b (plan_to_json (decompile c))] would. *)
+let add_compiled_json b (c : compiled) =
+  Buffer.add_char b '[';
+  for i = 0 to Array.length c - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Buffer.add_char b '"';
+    add_code b c.(i);
+    Buffer.add_char b '"'
+  done;
+  Buffer.add_char b ']'
 
 let compile ~n plan =
   let check i = function

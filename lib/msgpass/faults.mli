@@ -48,6 +48,9 @@ val deliveries : plan -> int
     whitespace where the pretty-printer breaks lines). *)
 
 val action_to_string : action -> string
+(** {!pp_action}'s text. One renderer serves both, {!plan_to_json} and
+    {!add_compiled_json}. *)
+
 val action_of_string : string -> (action, string) result
 (** Inverse of {!action_to_string}; [Error] names the offending token
     (unknown keyword, malformed channel, non-integer pid). *)
@@ -83,6 +86,12 @@ val compile : n:int -> plan -> compiled
 
 val decompile : compiled -> plan
 val compiled_length : compiled -> int
+
+val add_compiled_json : Buffer.t -> compiled -> unit
+(** Append the plan as a JSON array of action strings: byte-for-byte
+    [Obs.Json.to_buffer b (plan_to_json (decompile c))], without
+    decoding an action or formatting an integer — how the fleet writes
+    a corpus line's [plan] field. *)
 
 val compiled_get : compiled -> int -> action
 (** The action at an index, decoded. *)

@@ -330,14 +330,6 @@ type entry = { id : int; origin : string; plan : Faults.plan }
 
 exception Corpus_error of string
 
-let entry_to_json e =
-  Obs.Json.Obj
-    [
-      ("id", Obs.Json.Int e.id);
-      ("origin", Obs.Json.Str e.origin);
-      ("plan", Faults.plan_to_json e.plan);
-    ]
-
 let entry_of_json j =
   match
     ( Obs.Json.member_int "id" j,
@@ -348,36 +340,90 @@ let entry_of_json j =
       Result.map (fun plan -> { id; origin; plan }) (Faults.plan_of_json pj)
   | _ -> Error "corpus entry needs id, origin and plan fields"
 
+(* The line is encoded straight from the compiled plan: no action list,
+   no JSON tree. The test suite holds it to the tree-built form. *)
+let add_corpus_line b ~id ~origin cplan =
+  Buffer.add_string b "{\"id\":";
+  Buffer.add_string b (string_of_int id);
+  Buffer.add_string b ",\"origin\":";
+  Obs.Json.to_buffer b (Obs.Json.Str origin);
+  Buffer.add_string b ",\"plan\":";
+  Faults.add_compiled_json b cplan;
+  Buffer.add_string b "}\n"
+
 let corpus_file dir = Filename.concat dir "corpus.jsonl"
+
+(* Replace [file] through a sibling temp file and a rename, so a kill
+   leaves the old bytes or the new ones, never a prefix. *)
+let replace_file file contents =
+  let tmp = file ^ ".tmp" in
+  Out_channel.with_open_bin tmp (fun oc ->
+      Out_channel.output_string oc contents);
+  Sys.rename tmp file
+
+(* How [corpus.jsonl] ends. A kill mid-append leaves a last line with no
+   newline that is not JSON: [Torn], with the valid [prefix] before it.
+   A last line with no newline that does parse is [Unterminated]: it is
+   kept, and the next append must start a new line first. *)
+type tail =
+  | Terminated
+  | Unterminated
+  | Torn of { line : int; prefix : string; dropped : int }
 
 (* Every non-blank line of [<dir>/corpus.jsonl] through [entry], oldest
    first; a failure names the file and the 1-based line, since the
-   corpus is hand-edited. *)
-let read_corpus dir entry =
+   corpus is hand-edited. Only with [~repair] is a torn last line
+   returned as a [Torn] tail instead of failing. *)
+let read_corpus ~repair dir entry =
   let file = corpus_file dir in
-  if not (Sys.file_exists file) then Ok []
+  if not (Sys.file_exists file) then Ok ([], Terminated)
   else
-    let rec go lineno acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
-      | line :: rest -> (
-          match Result.bind (Obs.Json.of_string line) entry with
-          | Ok e -> go (lineno + 1) (e :: acc) rest
-          | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e))
+    let text = In_channel.with_open_bin file In_channel.input_all in
+    let len = String.length text in
+    let rec go lineno pos acc =
+      if pos >= len then
+        Ok
+          ( List.rev acc,
+            if len > 0 && text.[len - 1] <> '\n' then Unterminated
+            else Terminated )
+      else
+        let stop =
+          Option.value (String.index_from_opt text pos '\n') ~default:len
+        in
+        let line = String.sub text pos (stop - pos) in
+        if String.trim line = "" then go (lineno + 1) (stop + 1) acc
+        else
+          match Obs.Json.of_string line with
+          | Error _ when repair && stop = len ->
+              Ok
+                ( List.rev acc,
+                  Torn
+                    {
+                      line = lineno;
+                      prefix = String.sub text 0 pos;
+                      dropped = len - pos;
+                    } )
+          | parsed -> (
+              match Result.bind parsed entry with
+              | Ok e -> go (lineno + 1) (stop + 1) (e :: acc)
+              | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e))
     in
-    go 1 []
-      (String.split_on_char '\n'
-         (In_channel.with_open_text file In_channel.input_all))
+    go 1 0 []
 
-let load_corpus dir = read_corpus dir entry_of_json
+let load_corpus dir =
+  Result.map fst (read_corpus ~repair:false dir entry_of_json)
 
 (* Oldest first, newest at [size - 1] — matching the JSONL on disk. A
    growable array, not a list: generation planning picks parents by
    index, and a 60 s fleet grows the corpus to tens of thousands of
    plans. Entries hold compiled plans: a loaded entry is validated and
    compiled once, at load, and an entry born from an executed run is
-   its recorded plan as is; only a corpus directory's JSONL line
-   decompiles. *)
+   its recorded plan as is.
+
+   The corpus has one writer: [corpus_add] encodes each new entry's
+   line into [pending], and [corpus_flush] appends the whole buffer to
+   [corpus.jsonl] once per generation through one channel, opened at
+   the first append and closed by [corpus_close]. *)
 type centry = { cid : int; corigin : string; cplan : Faults.compiled }
 
 type corpus = {
@@ -386,6 +432,9 @@ type corpus = {
   mutable size : int;
   mutable next_id : int;
   mutable added : int;  (** entries appended by this campaign *)
+  pending : Buffer.t;  (** lines added since the last flush *)
+  mutable glue : bool;  (** the file ends without a newline *)
+  mutable out : out_channel option;
 }
 
 let dummy_entry = { cid = -1; corigin = ""; cplan = Faults.compile ~n:0 [] }
@@ -397,21 +446,36 @@ let compiled_entry ~n j =
       | exception Invalid_argument msg -> Error msg)
 
 let corpus_open ~n dir =
+  let make ?(glue = false) arr =
+    {
+      dir;
+      arr;
+      size = Array.length arr;
+      next_id = Array.fold_left (fun m e -> max m (e.cid + 1)) 0 arr;
+      added = 0;
+      pending = Buffer.create 4096;
+      glue;
+      out = None;
+    }
+  in
   match dir with
-  | None -> Ok { dir; arr = [||]; size = 0; next_id = 0; added = 0 }
+  | None -> Ok (make [||])
   | Some d ->
       if not (Sys.file_exists d) then Sys.mkdir d 0o755;
       Result.map
-        (fun loaded ->
+        (fun (loaded, tail) ->
           let arr = Array.of_list loaded in
-          {
-            dir;
-            arr;
-            size = Array.length arr;
-            next_id = Array.fold_left (fun m e -> max m (e.cid + 1)) 0 arr;
-            added = 0;
-          })
-        (read_corpus d (compiled_entry ~n))
+          match tail with
+          | Terminated -> make arr
+          | Unterminated -> make ~glue:true arr
+          | Torn { line; prefix; dropped } ->
+              let file = corpus_file d in
+              replace_file file prefix;
+              Printf.eprintf
+                "fleet: %s:%d: dropped a torn last line (%d bytes)\n%!" file
+                line dropped;
+              make arr)
+        (read_corpus ~repair:true d (compiled_entry ~n))
 
 let corpus_add corpus ~origin cplan =
   let e = { cid = corpus.next_id; corigin = origin; cplan } in
@@ -427,16 +491,38 @@ let corpus_add corpus ~origin cplan =
   corpus.size <- corpus.size + 1;
   corpus.added <- corpus.added + 1;
   Obs.Metrics.set g_corpus corpus.size;
+  if corpus.dir <> None then begin
+    if corpus.glue then begin
+      Buffer.add_char corpus.pending '\n';
+      corpus.glue <- false
+    end;
+    add_corpus_line corpus.pending ~id:e.cid ~origin cplan
+  end
+
+let corpus_flush corpus =
   match corpus.dir with
-  | None -> ()
-  | Some d ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (corpus_file d) in
-      output_string oc
-        (Obs.Json.to_string
-           (entry_to_json
-              { id = e.cid; origin; plan = Faults.decompile cplan }));
-      output_char oc '\n';
-      close_out oc
+  | Some d when Buffer.length corpus.pending > 0 ->
+      let oc =
+        match corpus.out with
+        | Some oc -> oc
+        | None ->
+            let oc =
+              Out_channel.open_gen
+                [ Open_wronly; Open_append; Open_creat; Open_binary ]
+                0o644 (corpus_file d)
+            in
+            corpus.out <- Some oc;
+            oc
+      in
+      Buffer.output_buffer oc corpus.pending;
+      Out_channel.flush oc;
+      Buffer.clear corpus.pending
+  | _ -> ()
+
+let corpus_close corpus =
+  corpus_flush corpus;
+  Option.iter Out_channel.close corpus.out;
+  corpus.out <- None
 
 (* Max of two uniform draws: biased toward the newest entries, where the
    coverage frontier is. *)
@@ -820,10 +906,8 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     match w.file with
     | None -> ()
     | Some f ->
-        Out_channel.with_open_text f (fun oc ->
-            output_string oc
-              (Obs.Json.to_string (witness_to_json ~seed ~config:chaos w));
-            output_char oc '\n')
+        replace_file f
+          (Obs.Json.to_string (witness_to_json ~seed ~config:chaos w) ^ "\n")
   in
   (* Violations are pre-classed by the *original* verdict: digit
      scrubbing makes the class a template of the failure shape, so a
@@ -1102,10 +1186,14 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
            end;
            true
      in
-     while continue () do
-       run_generation !gen;
-       incr gen
-     done
+     Fun.protect
+       ~finally:(fun () -> corpus_close corpus)
+       (fun () ->
+         while continue () do
+           run_generation !gen;
+           corpus_flush corpus;
+           incr gen
+         done)
    with Exit -> ());
   let witnesses_found = List.rev !witness_order in
   Obs.Span.end_ ~cat:"fleet"

@@ -86,7 +86,15 @@ val load_corpus : string -> (entry list, string) result
 (** Parse [<dir>/corpus.jsonl], oldest first. [Ok []] when the file does
     not exist; [Error] names the file, the offending line's number and
     its problem (the corpus is human-editable, so failures are loud, not
-    skipped). *)
+    skipped). A torn last line is an [Error] here too: only
+    {!campaign} repairs one. *)
+
+val add_corpus_line :
+  Buffer.t -> id:int -> origin:string -> Faults.compiled -> unit
+(** Append one [corpus.jsonl] line, newline included:
+    [{"id":N,"origin":…,"plan":[…]}], encoded straight from the compiled
+    plan. The bytes are those of the JSON tree of [{id; origin; plan}]
+    with the plan decompiled. *)
 
 exception Corpus_error of string
 (** Raised by {!campaign} when [corpus_dir] holds a corpus that does not
@@ -194,6 +202,11 @@ val campaign :
     calling domain in batch order, so the report, corpus and witnesses
     are byte-identical at any width. [corpus_dir] persists the corpus
     ([corpus.jsonl]) and witnesses; omitted, the campaign is in-memory.
+    New corpus lines are appended once per generation; witness files are
+    written to a temp file and renamed into place. Reopening a corpus
+    whose last line has no newline and does not parse — what a kill
+    mid-append leaves — drops that line, rewrites the valid prefix the
+    same way, and reports the file, line and bytes dropped on stderr.
 
     @raise Corpus_error when [corpus_dir] holds a corpus that does not
     load. *)

@@ -608,23 +608,25 @@ let test_fleet_churn_mutants () =
 
 (* ----- chaos fleet ----- *)
 
-let fault_plan_gen =
+(* One action of any of the seven kinds, operands drawn from [operand]. *)
+let action_gen operand =
   let open QCheck.Gen in
   let chan k =
-    map2 (fun src dst -> k { Msgpass.Faults.src; dst }) (int_bound 9)
-      (int_bound 9)
+    map2 (fun src dst -> k { Msgpass.Faults.src; dst }) operand operand
   in
-  list_size (int_bound 40)
-    (oneof
-       [
-         chan (fun ch -> Msgpass.Faults.Deliver ch);
-         chan (fun ch -> Msgpass.Faults.Drop ch);
-         chan (fun ch -> Msgpass.Faults.Duplicate ch);
-         chan (fun ch -> Msgpass.Faults.Defer ch);
-         map (fun pid -> Msgpass.Faults.Crash pid) (int_bound 9);
-         map (fun pid -> Msgpass.Faults.Enter pid) (int_bound 9);
-         map (fun pid -> Msgpass.Faults.Leave pid) (int_bound 9);
-       ])
+  oneof
+    [
+      chan (fun ch -> Msgpass.Faults.Deliver ch);
+      chan (fun ch -> Msgpass.Faults.Drop ch);
+      chan (fun ch -> Msgpass.Faults.Duplicate ch);
+      chan (fun ch -> Msgpass.Faults.Defer ch);
+      map (fun pid -> Msgpass.Faults.Crash pid) operand;
+      map (fun pid -> Msgpass.Faults.Enter pid) operand;
+      map (fun pid -> Msgpass.Faults.Leave pid) operand;
+    ]
+
+let fault_plan_gen =
+  QCheck.Gen.(list_size (int_bound 40) (action_gen (int_bound 9)))
 
 let fault_plan_arbitrary =
   QCheck.make ~print:(Format.asprintf "%a" Msgpass.Faults.pp_plan)
@@ -986,6 +988,189 @@ let test_fleet_corpus_rejects_bad_lines () =
   check_error "truncated JSON" ~fragments:[ file ^ ":2:" ] (F.load_corpus dir);
   rm_rf dir
 
+(* ----- corpus writer ----- *)
+
+(* The renderer the table-driven one replaced, kept here as its oracle. *)
+let old_pp_action ppf = function
+  | Msgpass.Faults.Deliver { src; dst } ->
+      Format.fprintf ppf "deliver %d>%d" src dst
+  | Drop { src; dst } -> Format.fprintf ppf "drop %d>%d" src dst
+  | Duplicate { src; dst } -> Format.fprintf ppf "dup %d>%d" src dst
+  | Defer { src; dst } -> Format.fprintf ppf "defer %d>%d" src dst
+  | Crash pid -> Format.fprintf ppf "crash %d" pid
+  | Enter pid -> Format.fprintf ppf "enter %d" pid
+  | Leave pid -> Format.fprintf ppf "leave %d" pid
+
+(* Every textual form of an action agrees with the old Format rendering,
+   for table operands (1-, 2- and 3-digit) and for the out-of-table
+   operands a hand-edited plan may carry. *)
+let prop_renderer_matches_format =
+  let module Fa = Msgpass.Faults in
+  let operand =
+    QCheck.Gen.(
+      oneof [ int_bound 255; int_range (-1000) (-1); int_range 256 100_000 ])
+  in
+  QCheck.Test.make ~name:"action renderer matches the Format rendering"
+    ~count:500
+    (QCheck.make ~print:Fa.action_to_string (action_gen operand))
+    (fun a ->
+      let old = Format.asprintf "%a" old_pp_action a in
+      Fa.action_to_string a = old && Format.asprintf "%a" Fa.pp_action a = old)
+
+(* A corpus line encoded straight from a compiled plan is byte-for-byte
+   the line the JSON tree gives: random plans of all seven kinds with
+   operands across 0..255, origins full of quotes, backslashes and
+   control characters. *)
+let prop_corpus_line_matches_json_tree =
+  let module Fa = Msgpass.Faults in
+  let module J = Obs.Json in
+  let origin_gen =
+    QCheck.Gen.(
+      string_size (int_bound 24)
+        ~gen:
+          (oneof
+             [
+               printable;
+               oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127' ];
+               map Char.chr (int_range 128 255);
+             ]))
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 1_000_000) origin_gen
+        (list_size (int_bound 60) (action_gen (int_bound 255))))
+  in
+  QCheck.Test.make ~name:"corpus line encoder matches the JSON tree"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (id, origin, plan) ->
+         Format.asprintf "%d %S %a" id origin Fa.pp_plan plan)
+       gen)
+    (fun (id, origin, plan) ->
+      let b = Buffer.create 64 in
+      Msgpass.Fleet.add_corpus_line b ~id ~origin (Fa.compile ~n:256 plan);
+      let tree =
+        J.Obj
+          [
+            ("id", J.Int id);
+            ("origin", J.Str origin);
+            ("plan", Fa.plan_to_json plan);
+          ]
+      in
+      Buffer.contents b = J.to_string tree ^ "\n")
+
+let corpus_text dir =
+  In_channel.with_open_bin (Filename.concat dir "corpus.jsonl")
+    In_channel.input_all
+
+let write_corpus dir text =
+  Out_channel.with_open_bin (Filename.concat dir "corpus.jsonl") (fun oc ->
+      output_string oc text)
+
+(* Resume over a corpus cut mid-line, as a kill mid-append leaves it:
+   the CLI drops the torn last line, says so on stderr with the file,
+   line and bytes dropped, and exits 0. A last line that parses but
+   lacks its newline is kept, and the next append starts a new line
+   rather than gluing onto it. A bad line elsewhere still fails. *)
+let test_fleet_resumes_over_torn_tail () =
+  let module C = Msgpass.Chaos in
+  let module F = Msgpass.Fleet in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-torn-tail"
+  in
+  rm_rf dir;
+  Sys.mkdir dir 0o755;
+  let file = Filename.concat dir "corpus.jsonl" in
+  let good = {|{"id":0,"origin":"seed:1","plan":["deliver 0>1","crash 2"]}|} in
+  let torn = {|{"id":1,"origin":"mut:0@g0","plan":["deliver 1>0","deli|} in
+  write_corpus dir (good ^ "\n" ^ torn);
+  let code, msg =
+    run_cli (Printf.sprintf "fleet --frontier --generations 2 --corpus %s" dir)
+  in
+  Alcotest.(check int) "CLI exits 0" 0 code;
+  check_error "stderr"
+    ~fragments:
+      [
+        Printf.sprintf "%s:2: dropped a torn last line (%d bytes)" file
+          (String.length torn);
+      ]
+    (Error msg);
+  let text = corpus_text dir in
+  Alcotest.(check bool) "valid prefix kept" true
+    (String.starts_with ~prefix:(good ^ "\n{\"id\":1,") text);
+  Alcotest.(check bool) "ends on a newline" true
+    (text.[String.length text - 1] = '\n');
+  Alcotest.(check bool) "no temp file left" false
+    (Sys.file_exists (file ^ ".tmp"));
+  (match F.load_corpus dir with
+  | Ok (e :: _) -> Alcotest.(check int) "first entry kept" 0 e.F.id
+  | Ok [] -> Alcotest.fail "corpus emptied"
+  | Error e -> Alcotest.failf "repaired corpus does not load: %s" e);
+  write_corpus dir good;
+  let r = F.campaign ~generations:2 ~seed:1 ~corpus_dir:dir (C.frontier ()) in
+  Alcotest.(check bool) "entries appended" true (r.F.corpus_added > 0);
+  Alcotest.(check bool) "unterminated line kept, next line starts fresh" true
+    (String.starts_with ~prefix:(good ^ "\n{\"id\":1,") (corpus_text dir));
+  (match F.load_corpus dir with
+  | Ok entries ->
+      Alcotest.(check int) "every entry loads" (1 + r.F.corpus_added)
+        (List.length entries)
+  | Error e -> Alcotest.failf "glued corpus: %s" e);
+  write_corpus dir (torn ^ "\n" ^ good);
+  (match F.campaign ~generations:1 ~corpus_dir:dir ~seed:1 (C.frontier ()) with
+  | _ -> Alcotest.fail "campaign accepted a torn middle line"
+  | exception F.Corpus_error e ->
+      check_error "middle line" ~fragments:[ file ^ ":1:" ] (Error e));
+  rm_rf dir
+
+(* FoundationDB-style crash test: cut a small corpus at every byte
+   offset and resume one generation over each cut. Every resume
+   succeeds, keeps exactly the entries whose JSON survived the cut (the
+   longest prefix of complete entries), and leaves a file that loads
+   cleanly. *)
+let test_fleet_resumes_at_every_byte_offset () =
+  let module C = Msgpass.Chaos in
+  let module F = Msgpass.Fleet in
+  let config = C.sound ~n:3 () in
+  let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
+  let base = tmp "boundedreg-crash-base" and dir = tmp "boundedreg-crash" in
+  rm_rf base;
+  ignore (F.campaign ~generations:3 ~batch:2 ~seed:5 ~corpus_dir:base config);
+  let full = corpus_text base in
+  let original =
+    match F.load_corpus base with Ok es -> es | Error e -> Alcotest.fail e
+  in
+  (* Where each entry's JSON ends, its newline excluded. *)
+  let ends =
+    List.rev
+      (snd
+         (String.fold_left
+            (fun (i, acc) c -> (i + 1, if c = '\n' then i :: acc else acc))
+            (0, []) full))
+  in
+  Alcotest.(check bool) "several entries to cut between" true
+    (List.length original >= 3);
+  Alcotest.(check int) "one line per entry" (List.length original)
+    (List.length ends);
+  for cut = 0 to String.length full do
+    rm_rf dir;
+    Sys.mkdir dir 0o755;
+    write_corpus dir (String.sub full 0 cut);
+    let r = F.campaign ~generations:1 ~batch:2 ~seed:7 ~corpus_dir:dir config in
+    let kept = List.length (List.filter (fun e -> e <= cut) ends) in
+    match F.load_corpus dir with
+    | Error e -> Alcotest.failf "cut at %d: resumed corpus: %s" cut e
+    | Ok entries ->
+        if List.length entries <> kept + r.F.corpus_added then
+          Alcotest.failf "cut at %d: %d entries, expected %d kept + %d added"
+            cut (List.length entries) kept r.F.corpus_added;
+        if List.filteri (fun i _ -> i < kept) entries
+           <> List.filteri (fun i _ -> i < kept) original
+        then Alcotest.failf "cut at %d: kept prefix differs" cut
+  done;
+  rm_rf base;
+  rm_rf dir
+
 (* Witness files are as hand-editable as the corpus: a config the
    campaign would refuse (too many slots for the network, more writes
    than the packed message fields hold) or a plan that does not compile
@@ -1273,6 +1458,12 @@ let () =
             test_fleet_corpus_rejects_bad_lines;
           Alcotest.test_case "fleet --replay rejects hostile witnesses" `Quick
             test_fleet_replay_rejects_hostile_witnesses;
+          QCheck_alcotest.to_alcotest prop_renderer_matches_format;
+          QCheck_alcotest.to_alcotest prop_corpus_line_matches_json_tree;
+          Alcotest.test_case "fleet resumes over a torn corpus tail" `Quick
+            test_fleet_resumes_over_torn_tail;
+          Alcotest.test_case "fleet resumes at every byte offset" `Quick
+            test_fleet_resumes_at_every_byte_offset;
           QCheck_alcotest.to_alcotest Oracles.Boxed.prop_packed_matches_boxed;
           Alcotest.test_case "parallel campaigns match sequential" `Quick
             test_chaos_jobs_invariant;
