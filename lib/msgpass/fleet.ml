@@ -373,42 +373,45 @@ type tail =
 (* Every non-blank line of [<dir>/corpus.jsonl] through [entry], oldest
    first; a failure names the file and the 1-based line, since the
    corpus is hand-edited. Only with [~repair] is a torn last line
-   returned as a [Torn] tail instead of failing. *)
+   returned as a [Torn] tail instead of failing.
+
+   The file is read a line at a time, never whole: a held copy of a
+   multi-megabyte corpus would stay on the heap until a major cycle
+   happened to free it, and the peak memory of a resume would then
+   depend on where that cycle fell. Only a torn tail rereads the valid
+   prefix, to rewrite it. *)
 let read_corpus ~repair dir entry =
   let file = corpus_file dir in
   if not (Sys.file_exists file) then Ok ([], Terminated)
   else
-    let text = In_channel.with_open_bin file In_channel.input_all in
-    let len = String.length text in
-    let rec go lineno pos acc =
-      if pos >= len then
-        Ok
-          ( List.rev acc,
-            if len > 0 && text.[len - 1] <> '\n' then Unterminated
-            else Terminated )
-      else
-        let stop =
-          Option.value (String.index_from_opt text pos '\n') ~default:len
-        in
-        let line = String.sub text pos (stop - pos) in
-        if String.trim line = "" then go (lineno + 1) (stop + 1) acc
-        else
-          match Obs.Json.of_string line with
-          | Error _ when repair && stop = len ->
-              Ok
-                ( List.rev acc,
-                  Torn
-                    {
-                      line = lineno;
-                      prefix = String.sub text 0 pos;
-                      dropped = len - pos;
-                    } )
-          | parsed -> (
-              match Result.bind parsed entry with
-              | Ok e -> go (lineno + 1) (stop + 1) (e :: acc)
-              | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e))
+    In_channel.with_open_bin file @@ fun ic ->
+    let rec go lineno acc ~unterminated =
+      let pos = pos_in ic in
+      match In_channel.input_line ic with
+      | None ->
+          Ok (List.rev acc, if unterminated then Unterminated else Terminated)
+      | Some line -> (
+          let unterminated = pos_in ic - pos = String.length line in
+          if String.trim line = "" then go (lineno + 1) acc ~unterminated
+          else
+            match Obs.Json.of_string line with
+            | Error _ when repair && unterminated ->
+                let dropped = pos_in ic - pos in
+                seek_in ic 0;
+                Ok
+                  ( List.rev acc,
+                    Torn
+                      {
+                        line = lineno;
+                        prefix = really_input_string ic pos;
+                        dropped;
+                      } )
+            | parsed -> (
+                match Result.bind parsed entry with
+                | Ok e -> go (lineno + 1) (e :: acc) ~unterminated
+                | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e)))
     in
-    go 1 0 []
+    go 1 [] ~unterminated:false
 
 let load_corpus dir =
   Result.map fst (read_corpus ~repair:false dir entry_of_json)
