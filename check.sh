@@ -143,8 +143,8 @@ diff "$tmp_seq" "$tmp_par"
 echo "== fleet smoke"
 fleet_j1=$(mktemp -d) && fleet_j2=$(mktemp -d)
 fleet_churn=$(mktemp -d) && fleet_churn_j2=$(mktemp -d)
-fleet_torn=$(mktemp -d)
-trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_churn_j2" "$fleet_torn"' EXIT
+fleet_torn=$(mktemp -d) && fleet_resume_j2=$(mktemp -d)
+trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_churn_j2" "$fleet_torn" "$fleet_resume_j2"' EXIT
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
   --corpus "$fleet_j1" --jobs 1 --expect witness > "$tmp_seq"
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
@@ -160,14 +160,21 @@ done
 # hence byte-deterministic) corpus re-executes every corpus plan once to
 # seed coverage and the content-addressed run cache, so mutants that
 # reproduce known content must answer from the cache — at least one hit,
-# or the content addressing has silently stopped working.
+# or the content addressing has silently stopped working. The same resume
+# at --jobs 2, over a copy of the same corpus, must reproduce the jobs=1
+# report and corpus byte-for-byte.
+cp -R "$fleet_j1/." "$fleet_resume_j2"
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 20 --seed 11 \
-  --corpus "$fleet_j1" > "$tmp_par"
+  --corpus "$fleet_j1" --jobs 1 > "$tmp_par"
 grep 'cache: ' "$tmp_par"
 if grep -q 'cache: 0 hit(s)' "$tmp_par"; then
   echo "check.sh: fleet run cache recorded no hits on the corpus re-fill smoke" >&2
   exit 1
 fi
+dune exec bin/boundedreg.exe -- fleet --frontier --generations 20 --seed 11 \
+  --corpus "$fleet_resume_j2" --jobs 2 > "$tmp_seq"
+sed "s|$fleet_resume_j2|$fleet_j1|" "$tmp_seq" | diff "$tmp_par" -
+diff "$fleet_j1/corpus.jsonl" "$fleet_resume_j2/corpus.jsonl"
 # Torn-tail smoke: a kill mid-append leaves corpus.jsonl cut mid-line.
 # Cut 40 bytes off a copy; the resume must drop the torn last line, say
 # so on stderr, and finish.

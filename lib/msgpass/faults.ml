@@ -40,8 +40,7 @@ let code_of_action = function
   | Enter pid -> encode k_enter pid 0
   | Leave pid -> encode k_leave pid 0
 
-let action_of_code c =
-  let k = code_kind c and a = code_a c and b = code_b c in
+let action_of_fields k a b =
   if k = k_deliver then Deliver { src = a; dst = b }
   else if k = k_drop then Drop { src = a; dst = b }
   else if k = k_duplicate then Duplicate { src = a; dst = b }
@@ -49,6 +48,8 @@ let action_of_code c =
   else if k = k_crash then Crash a
   else if k = k_enter then Enter a
   else Leave a
+
+let action_of_code c = action_of_fields (code_kind c) (code_a c) (code_b c)
 
 (* {2 Rendering}
 
@@ -110,44 +111,173 @@ let deliveries plan =
 
 (* {2 Plan codecs}
 
-   Parsing accepts any whitespace where the pretty-printer may break a
-   line. *)
+   One scanner reads action text for every parser below. It works on
+   positions in the caller's string and fills a reused [scan] record,
+   so a well-formed action costs no allocation: no trimmed copy, no
+   substring, no variant. A diagnostic is built only on failure, from
+   the positions the scanner left behind. The grammar, which the test
+   suite holds to a reference parser built from [String.trim] and
+   [int_of_string_opt]: [String.trim]'s whitespace may surround the
+   text; the keyword runs to the first space; the rest is trimmed and,
+   for a channel, split at its first ">"; each operand is trimmed and
+   read as [int_of_string_opt] reads it. *)
 
-let action_of_string s =
-  let s = String.trim s in
-  let fail fmt = Printf.ksprintf (fun e -> Error e) fmt in
-  match String.index_opt s ' ' with
-  | None -> fail "cannot parse action %S: expected \"keyword arg\"" s
-  | Some i -> (
-      let kw = String.sub s 0 i in
-      let rest = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
-      let channel k =
-        match String.index_opt rest '>' with
-        | None -> fail "bad channel %S after %S: expected src>dst" rest kw
-        | Some j -> (
-            let src = String.trim (String.sub rest 0 j) in
-            let dst =
-              String.trim (String.sub rest (j + 1) (String.length rest - j - 1))
-            in
-            match (int_of_string_opt src, int_of_string_opt dst) with
-            | Some src, Some dst -> Ok (k { src; dst })
-            | None, _ -> fail "bad channel source %S after %S" src kw
-            | _, None -> fail "bad channel destination %S after %S" dst kw)
-      in
-      let pid k =
-        match int_of_string_opt rest with
-        | Some p -> Ok (k p)
-        | None -> fail "bad pid %S after %S" rest kw
-      in
-      match kw with
-      | "deliver" -> channel (fun ch -> Deliver ch)
-      | "drop" -> channel (fun ch -> Drop ch)
-      | "dup" -> channel (fun ch -> Duplicate ch)
-      | "defer" -> channel (fun ch -> Defer ch)
-      | "crash" -> pid (fun p -> Crash p)
-      | "enter" -> pid (fun p -> Enter p)
-      | "leave" -> pid (fun p -> Leave p)
-      | _ -> fail "unknown action keyword %S in %S" kw s)
+type scan = {
+  mutable a : int;
+  mutable b : int;
+  (* Failure positions: the trimmed text is [lo, hi), the keyword ends
+     at the first space [sp], and the offending token is [tlo, thi). *)
+  mutable lo : int;
+  mutable hi : int;
+  mutable sp : int;
+  mutable tlo : int;
+  mutable thi : int;
+}
+
+let scanner () = { a = 0; b = 0; lo = 0; hi = 0; sp = 0; tlo = 0; thi = 0 }
+
+(* [scan] results other than a kind (0..6). *)
+let e_syntax = -1
+let e_keyword = -2
+let e_channel = -3
+let e_src = -4
+let e_dst = -5
+let e_pid = -6
+
+(* [String.trim]'s whitespace. *)
+let[@inline] is_space = function
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+  | _ -> false
+
+exception Bad_operand
+
+(* The first [c] in [s.[i .. hi - 1]], or [-1]. *)
+let rec index_in s c i hi =
+  if i >= hi then -1 else if s.[i] = c then i else index_in s c (i + 1) hi
+
+(* [s.[i .. hi - 1]] read as decimal digits onto [v], or [-1]. *)
+let rec decimal s i hi v =
+  if i = hi then v
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> decimal s (i + 1) hi ((10 * v) + Char.code c - 48)
+    | _ -> -1
+
+(* [int_of_string_opt] of [s.[lo .. hi - 1]]: plain decimal of up to 18
+   digits (which cannot overflow) is read in place; anything else —
+   signs, [0x], underscores, long or empty text — goes to
+   [int_of_string_opt] itself. *)
+let operand s lo hi =
+  let len = hi - lo in
+  let v = if len >= 1 && len <= 18 then decimal s lo hi 0 else -1 in
+  if v >= 0 then v
+  else
+    match int_of_string_opt (String.sub s lo len) with
+    | Some v -> v
+    | None -> raise Bad_operand
+
+(* [kw.[i .. len - 1]] is [s.[lo + i .. lo + len - 1]]; the caller
+   checks [len = String.length kw <= String.length s - lo]. *)
+let rec same_text s lo kw i len =
+  i = len
+  || String.unsafe_get s (lo + i) = String.unsafe_get kw i
+     && same_text s lo kw (i + 1) len
+
+(* The kind, from [k] on, whose [keyword] (trailing space included)
+   starts [s.[lo .. hi - 1]], or [-1]. No keyword holds a space before
+   its last character, so this is the kind whose keyword is the text up
+   to the first space. *)
+let rec keyword_at s lo hi k =
+  if k = Array.length keyword then -1
+  else
+    let kw = keyword.(k) in
+    let len = String.length kw in
+    if len <= hi - lo && same_text s lo kw 0 len then k
+    else keyword_at s lo hi (k + 1)
+
+let scan sc s =
+  let n = String.length s in
+  let lo = ref 0 and hi = ref n in
+  while !lo < n && is_space s.[!lo] do incr lo done;
+  while !hi > !lo && is_space s.[!hi - 1] do decr hi done;
+  let lo = !lo and hi = !hi in
+  sc.lo <- lo;
+  sc.hi <- hi;
+  let k = keyword_at s lo hi 0 in
+  let sp =
+    if k >= 0 then lo + String.length keyword.(k) - 1
+    else index_in s ' ' lo hi
+  in
+  if sp < 0 then e_syntax
+  else if k < 0 then begin
+    sc.sp <- sp;
+    e_keyword
+  end
+  else begin
+    sc.sp <- sp;
+    (* [s.[hi - 1]] is not a space, so the rest [rlo, hi) is non-empty
+       and already trimmed on the right. *)
+    let rlo = ref (sp + 1) in
+    while is_space s.[!rlo] do incr rlo done;
+    let rlo = !rlo in
+    sc.tlo <- rlo;
+    sc.thi <- hi;
+    if k <= k_defer then begin
+      let gt = index_in s '>' rlo hi in
+      if gt < 0 then e_channel
+      else begin
+        let shi = ref gt and dlo = ref (gt + 1) in
+        while !shi > rlo && is_space s.[!shi - 1] do decr shi done;
+        while !dlo < hi && is_space s.[!dlo] do incr dlo done;
+        sc.thi <- !shi;
+        match operand s rlo !shi with
+        | exception Bad_operand -> e_src
+        | a -> (
+            sc.tlo <- !dlo;
+            sc.thi <- hi;
+            match operand s !dlo hi with
+            | exception Bad_operand -> e_dst
+            | b ->
+                sc.a <- a;
+                sc.b <- b;
+                k)
+      end
+    end
+    else
+      match operand s rlo hi with
+      | exception Bad_operand -> e_pid
+      | a ->
+          sc.a <- a;
+          sc.b <- 0;
+          k
+  end
+
+(* The diagnostic for a failed [scan] of [s]. *)
+let scan_error sc s e =
+  let sub lo hi = String.sub s lo (hi - lo) in
+  if e = e_syntax then
+    Printf.sprintf "cannot parse action %S: expected \"keyword arg\""
+      (sub sc.lo sc.hi)
+  else
+    let kw = sub sc.lo sc.sp in
+    if e = e_keyword then
+      Printf.sprintf "unknown action keyword %S in %S" kw (sub sc.lo sc.hi)
+    else
+      let tok = sub sc.tlo sc.thi in
+      if e = e_channel then
+        Printf.sprintf "bad channel %S after %S: expected src>dst" tok kw
+      else if e = e_src then
+        Printf.sprintf "bad channel source %S after %S" tok kw
+      else if e = e_dst then
+        Printf.sprintf "bad channel destination %S after %S" tok kw
+      else Printf.sprintf "bad pid %S after %S" tok kw
+
+let scan_action sc s =
+  let k = scan sc s in
+  if k < 0 then Error (scan_error sc s k)
+  else Ok (action_of_fields k sc.a sc.b)
+
+let action_of_string s = scan_action (scanner ()) s
 
 let plan_of_string text =
   (* Walk the ";"-splits keeping the absolute character offset, so a
@@ -174,21 +304,16 @@ let plan_of_json j =
   match Obs.Json.to_list j with
   | None -> Error "plan is not a JSON array"
   | Some items ->
-      List.fold_left
-        (fun (i, acc) item ->
-          ( i + 1,
-            match acc with
-            | Error _ as e -> e
-            | Ok actions -> (
-                match Obs.Json.to_str item with
-                | None -> Error (Printf.sprintf "plan element %d is not a string" i)
-                | Some s -> (
-                    match action_of_string s with
-                    | Ok a -> Ok (a :: actions)
-                    | Error e ->
-                        Error (Printf.sprintf "plan element %d: %s" i e))) ))
-        (0, Ok []) items
-      |> snd |> Result.map List.rev
+      let sc = scanner () in
+      let rec go i acc = function
+        | [] -> Ok (List.rev acc)
+        | Obs.Json.Str s :: rest -> (
+            match scan_action sc s with
+            | Ok a -> go (i + 1) (a :: acc) rest
+            | Error e -> Error (Printf.sprintf "plan element %d: %s" i e))
+        | _ :: _ -> Error (Printf.sprintf "plan element %d is not a string" i)
+      in
+      go 0 [] items
 
 type compiled = int array
 
@@ -205,21 +330,26 @@ let add_compiled_json b (c : compiled) =
   done;
   Buffer.add_char b ']'
 
+(* Operands are checked against [n] before they are packed, so an
+   out-of-range operand can never alias an in-range one. *)
+let in_range ~n k a b = a >= 0 && a < n && (k > k_defer || (b >= 0 && b < n))
+
+let range_error ~n i k a b =
+  if k <= k_defer then
+    Printf.sprintf
+      "Faults.compile: action %d: channel %d>%d out of range (n = %d)" i a b n
+  else
+    Printf.sprintf "Faults.compile: action %d: pid %d out of range (n = %d)" i
+      a n
+
 let compile ~n plan =
   let check i = function
     | Deliver { src; dst } | Drop { src; dst } | Duplicate { src; dst }
     | Defer { src; dst } ->
         if src < 0 || src >= n || dst < 0 || dst >= n then
-          invalid_arg
-            (Printf.sprintf
-               "Faults.compile: action %d: channel %d>%d out of range (n = %d)"
-               i src dst n)
+          invalid_arg (range_error ~n i k_deliver src dst)
     | Crash pid | Enter pid | Leave pid ->
-        if pid < 0 || pid >= n then
-          invalid_arg
-            (Printf.sprintf
-               "Faults.compile: action %d: pid %d out of range (n = %d)" i pid
-               n)
+        if pid < 0 || pid >= n then invalid_arg (range_error ~n i k_crash pid 0)
   in
   let c = Array.make (List.length plan) 0 in
   List.iteri
@@ -228,6 +358,33 @@ let compile ~n plan =
       c.(i) <- code_of_action a)
     plan;
   c
+
+(* [compile ~n] after [plan_of_json], with no action list: each element
+   is scanned straight into its opcode. A syntax error anywhere beats a
+   range error, as it does when the two run in sequence, so the first
+   range error is held until the whole array has scanned. *)
+let compiled_of_json ~n j =
+  match Obs.Json.to_list j with
+  | None -> Error "plan is not a JSON array"
+  | Some items ->
+      let c = Array.make (List.length items) 0 in
+      let sc = scanner () in
+      let rec go i range = function
+        | [] -> ( match range with None -> Ok c | Some e -> Error e)
+        | Obs.Json.Str s :: rest ->
+            let k = scan sc s in
+            if k < 0 then
+              Error (Printf.sprintf "plan element %d: %s" i (scan_error sc s k))
+            else (
+              match range with
+              | Some _ -> go (i + 1) range rest
+              | None when in_range ~n k sc.a sc.b ->
+                  c.(i) <- encode k sc.a sc.b;
+                  go (i + 1) None rest
+              | None -> go (i + 1) (Some (range_error ~n i k sc.a sc.b)) rest)
+        | _ :: _ -> Error (Printf.sprintf "plan element %d is not a string" i)
+      in
+      go 0 None items
 
 let decompile compiled = Array.to_list (Array.map action_of_code compiled)
 let compiled_length = Array.length

@@ -65,7 +65,8 @@ val plan_to_json : plan -> Obs.Json.t
 (** A JSON array of action strings — one corpus line's [plan] field. *)
 
 val plan_of_json : Obs.Json.t -> (plan, string) result
-(** Inverse of {!plan_to_json}. *)
+(** Inverse of {!plan_to_json}. [Error] names the first element that is
+    not a string or does not parse ([plan element 3: ...]). *)
 
 (** {1 Compiled plans}
 
@@ -83,6 +84,12 @@ val compile : n:int -> plan -> compiled
     @raise Invalid_argument on an out-of-range channel or pid, naming
     the action's index — a compiled plan can therefore be replayed
     unchecked. *)
+
+val compiled_of_json : n:int -> Obs.Json.t -> (compiled, string) result
+(** [compile ~n] of [plan_of_json], with the same [Ok] and the same
+    [Error] text (a range error is [compile]'s [Invalid_argument]
+    message), but no action list: each element is scanned straight into
+    its opcode. How the fleet loads a corpus line's [plan] field. *)
 
 val decompile : compiled -> plan
 val compiled_length : compiled -> int

@@ -330,15 +330,18 @@ type entry = { id : int; origin : string; plan : Faults.plan }
 
 exception Corpus_error of string
 
-let entry_of_json j =
+(* One corpus line's fields, its plan decoded by [plan_of]. *)
+let decode_entry plan_of make j =
   match
     ( Obs.Json.member_int "id" j,
       Obs.Json.member_str "origin" j,
       Obs.Json.member "plan" j )
   with
-  | Some id, Some origin, Some pj ->
-      Result.map (fun plan -> { id; origin; plan }) (Faults.plan_of_json pj)
+  | Some id, Some origin, Some pj -> Result.map (make id origin) (plan_of pj)
   | _ -> Error "corpus entry needs id, origin and plan fields"
+
+let entry_of_json =
+  decode_entry Faults.plan_of_json (fun id origin plan -> { id; origin; plan })
 
 (* The line is encoded straight from the compiled plan: no action list,
    no JSON tree. The test suite holds it to the tree-built form. *)
@@ -442,11 +445,11 @@ type corpus = {
 
 let dummy_entry = { cid = -1; corigin = ""; cplan = Faults.compile ~n:0 [] }
 
-let compiled_entry ~n j =
-  Result.bind (entry_of_json j) (fun e ->
-      match Faults.compile ~n e.plan with
-      | cplan -> Ok { cid = e.id; corigin = e.origin; cplan }
-      | exception Invalid_argument msg -> Error msg)
+(* A loaded line goes from its JSON tree to a compiled plan directly:
+   no action list. *)
+let compiled_entry ~n =
+  decode_entry (Faults.compiled_of_json ~n) (fun cid corigin cplan ->
+      { cid; corigin; cplan })
 
 let corpus_open ~n dir =
   let make ?(glue = false) arr =
@@ -716,10 +719,8 @@ let replay_file file =
               let ( let* ) = Result.bind in
               let* config = config_of_json cj in
               let* config, _warnings = Chaos.validate config in
-              let* plan = Faults.plan_of_json pj in
-              match Faults.compile ~n:config.Chaos.n plan with
-              | compiled -> Ok (config, plan, compiled)
-              | exception Invalid_argument e -> Error e
+              let* compiled = Faults.compiled_of_json ~n:config.Chaos.n pj in
+              Ok (config, Faults.decompile compiled, compiled)
             in
             match checked with
             | Error e -> Error (Printf.sprintf "%s: %s" file e)

@@ -74,27 +74,35 @@ let member_int key j = Option.bind (member key j) to_int
 let member_str key j = Option.bind (member key j) to_str
 let member_list key j = Option.bind (member key j) to_list
 
-(* {2 Parsing} *)
+(* {2 Parsing}
+
+   The parser reads [s] by index: no option or closure per character.
+   A string with no escape is taken with one scan and one [String.sub];
+   only a string holding a backslash goes through a [Buffer]. *)
 
 exception Parse_error of string
+
+let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | 'A' .. 'F' -> Char.code c - 55
+  | _ -> -1
 
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (Printf.sprintf "at %d: %s" !pos msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+  let skip_ws () =
+    while !pos < n && is_ws s.[!pos] do
+      incr pos
+    done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
+    if !pos < n && s.[!pos] = c then incr pos
+    else fail (Printf.sprintf "expected %C" c)
   in
   let literal word value =
     let l = String.length word in
@@ -104,61 +112,98 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
+  (* The four hex digits of a [\u] escape at [!pos]. *)
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let code = ref 0 in
+    for i = 0 to 3 do
+      let d = hex_value s.[!pos + i] in
+      if d < 0 then fail "bad \\u escape";
+      code := (!code lsl 4) lor d
+    done;
+    pos := !pos + 4;
+    !code
+  in
+  (* A [\u] escape, [!pos] just past the [u]: one code point, a
+     surrogate pair combined into one; a lone surrogate is an error. *)
+  let unicode_escape b =
+    let at = !pos in
+    let code = hex4 () in
+    let lone () =
+      pos := at;
+      fail (Printf.sprintf "lone surrogate \\u%04x" code)
+    in
+    if code >= 0xdc00 && code <= 0xdfff then lone ()
+    else if code >= 0xd800 && code <= 0xdbff then begin
+      if not (!pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+        lone ();
+      pos := !pos + 2;
+      let low = hex4 () in
+      if low < 0xdc00 || low > 0xdfff then lone ();
+      Buffer.add_utf_8_uchar b
+        (Uchar.of_int (0x10000 + ((code - 0xd800) lsl 10) + (low - 0xdc00)))
+    end
+    else Buffer.add_utf_8_uchar b (Uchar.of_int code)
+  in
+  (* The escaped remainder of a string whose first [!pos - start] bytes
+     were plain. *)
+  let escaped_string start =
+    let b = Buffer.create (!pos - start + 16) in
+    Buffer.add_substring b s start (!pos - start);
     let rec go () =
       if !pos >= n then fail "unterminated string";
       match s.[!pos] with
-      | '"' -> advance ()
+      | '"' -> incr pos
       | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'; advance ()
-           | '\\' -> Buffer.add_char b '\\'; advance ()
-           | '/' -> Buffer.add_char b '/'; advance ()
-           | 'n' -> Buffer.add_char b '\n'; advance ()
-           | 'r' -> Buffer.add_char b '\r'; advance ()
-           | 't' -> Buffer.add_char b '\t'; advance ()
-           | 'b' -> Buffer.add_char b '\b'; advance ()
-           | 'f' -> Buffer.add_char b '\012'; advance ()
-           | 'u' ->
-               advance ();
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let hex = String.sub s !pos 4 in
-               let code =
-                 try int_of_string ("0x" ^ hex)
-                 with _ -> fail "bad \\u escape"
-               in
-               pos := !pos + 4;
-               (* Codepoints above one byte round-trip only for the
-                  control characters the printer emits; that is all the
-                  telemetry format uses. *)
-               if code < 0x80 then Buffer.add_char b (Char.chr code)
-               else begin
-                 Buffer.add_char b (Char.chr (0xc0 lor (code lsr 6)));
-                 Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
-               end
-           | c -> fail (Printf.sprintf "bad escape %C" c));
+          incr pos;
+          if !pos >= n then fail "unterminated escape";
+          (match s.[!pos] with
+          | '"' -> Buffer.add_char b '"'; incr pos
+          | '\\' -> Buffer.add_char b '\\'; incr pos
+          | '/' -> Buffer.add_char b '/'; incr pos
+          | 'n' -> Buffer.add_char b '\n'; incr pos
+          | 'r' -> Buffer.add_char b '\r'; incr pos
+          | 't' -> Buffer.add_char b '\t'; incr pos
+          | 'b' -> Buffer.add_char b '\b'; incr pos
+          | 'f' -> Buffer.add_char b '\012'; incr pos
+          | 'u' ->
+              incr pos;
+              unicode_escape b
+          | c -> fail (Printf.sprintf "bad escape %C" c));
           go ()
       | c ->
           Buffer.add_char b c;
-          advance ();
+          incr pos;
           go ()
     in
     go ();
     Buffer.contents b
   in
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    let i = ref start in
+    while !i < n && match s.[!i] with '"' | '\\' -> false | _ -> true do
+      incr i
+    done;
+    pos := !i;
+    if !i >= n then fail "unterminated string";
+    if s.[!i] = '"' then begin
+      pos := !i + 1;
+      String.sub s start (!i - start)
+    end
+    else escaped_string start
+  in
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
+    while
+      !pos < n
+      &&
+      match s.[!pos] with
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
+    do
+      incr pos
     done;
     let tok = String.sub s start (!pos - start) in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok then
@@ -170,37 +215,42 @@ let of_string s =
       | Some i -> Int i
       | None -> fail (Printf.sprintf "bad number %S" tok)
   in
-  let rec parse_value () =
+  let at c = !pos < n && s.[!pos] = c in
+  let[@tail_mod_cons] rec elements () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-        advance ();
+    if at ',' then begin
+      incr pos;
+      let v = parse_value () in
+      v :: elements ()
+    end
+    else begin
+      expect ']';
+      []
+    end
+  and parse_value () =
+    skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
+        if at ']' then begin
+          incr pos;
           List []
         end
         else begin
-          let acc = ref [ parse_value () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            acc := parse_value () :: !acc;
-            skip_ws ()
-          done;
-          expect ']';
-          List (List.rev !acc)
+          let first = parse_value () in
+          List (first :: elements ())
         end
-    | Some '{' ->
-        advance ();
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
+        if at '}' then begin
+          incr pos;
           Obj []
         end
         else begin
@@ -214,15 +264,15 @@ let of_string s =
           in
           let acc = ref [ field () ] in
           skip_ws ();
-          while peek () = Some ',' do
-            advance ();
+          while at ',' do
+            incr pos;
             acc := field () :: !acc;
             skip_ws ()
           done;
           expect '}';
           Obj (List.rev !acc)
         end
-    | Some _ -> parse_number ()
+    | _ -> parse_number ()
   in
   match
     let v = parse_value () in

@@ -35,4 +35,7 @@ val member_list : string -> t -> t list option
 
 val of_string : string -> (t, string) result
 (** Full JSON parser (objects, arrays, strings with escapes, numbers,
-    literals). [Error] carries a position-tagged message. *)
+    literals). A [\u] escape takes exactly four hex digits and decodes
+    to UTF-8; a surrogate pair decodes to one four-byte code point, and
+    a lone surrogate is an error. [Error] carries a position-tagged
+    message. *)

@@ -1059,6 +1059,144 @@ let prop_corpus_line_matches_json_tree =
       in
       Buffer.contents b = J.to_string tree ^ "\n")
 
+(* ----- corpus reader ----- *)
+
+(* The action parser the scanner replaced, kept here as its oracle. *)
+let old_action_of_string s =
+  let open Msgpass.Faults in
+  let s = String.trim s in
+  let fail fmt = Printf.ksprintf (fun e -> Error e) fmt in
+  match String.index_opt s ' ' with
+  | None -> fail "cannot parse action %S: expected \"keyword arg\"" s
+  | Some i -> (
+      let kw = String.sub s 0 i in
+      let rest = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
+      let channel k =
+        match String.index_opt rest '>' with
+        | None -> fail "bad channel %S after %S: expected src>dst" rest kw
+        | Some j -> (
+            let src = String.trim (String.sub rest 0 j) in
+            let dst =
+              String.trim (String.sub rest (j + 1) (String.length rest - j - 1))
+            in
+            match (int_of_string_opt src, int_of_string_opt dst) with
+            | Some src, Some dst -> Ok (k { src; dst })
+            | None, _ -> fail "bad channel source %S after %S" src kw
+            | _, None -> fail "bad channel destination %S after %S" dst kw)
+      in
+      let pid k =
+        match int_of_string_opt rest with
+        | Some p -> Ok (k p)
+        | None -> fail "bad pid %S after %S" rest kw
+      in
+      match kw with
+      | "deliver" -> channel (fun ch -> Deliver ch)
+      | "drop" -> channel (fun ch -> Drop ch)
+      | "dup" -> channel (fun ch -> Duplicate ch)
+      | "defer" -> channel (fun ch -> Defer ch)
+      | "crash" -> pid (fun p -> Crash p)
+      | "enter" -> pid (fun p -> Enter p)
+      | "leave" -> pid (fun p -> Leave p)
+      | _ -> fail "unknown action keyword %S in %S" kw s)
+
+(* Action text as a hand edit may leave it: any whitespace around the
+   keyword, the operands and ">"; operands with signs, radix prefixes,
+   underscores, above 255 or overflowing; unknown or misspelt keywords;
+   a channel where a pid belongs and the reverse; a missing or doubled
+   ">". *)
+let action_text_gen =
+  let open QCheck.Gen in
+  let ws = oneofl [ ""; ""; ""; " "; "  "; "\t"; "\n"; "\r"; "\012"; " \t " ] in
+  let gap = oneofl [ " "; " "; " "; "  "; " \t"; "\t"; "\t "; "" ] in
+  let keyword =
+    oneofl
+      [
+        "deliver"; "drop"; "dup"; "defer"; "crash"; "enter"; "leave";
+        "teleport"; "Deliver"; "del"; "dupe"; "crashx"; "deliver>"; "";
+      ]
+  in
+  let operand =
+    frequency
+      [
+        (6, map string_of_int (int_bound 12));
+        (2, map string_of_int (int_range 256 100_000));
+        ( 3,
+          oneofl
+            [
+              "0x1"; "0X1f"; "+1"; "-1"; "1_0"; "1__0"; "1_"; "_1"; "0b11";
+              "0o7"; "0u3"; "007"; ""; "x"; "1 2"; "1e3";
+              "99999999999999999999"; "4611686018427387903";
+              "-4611686018427387904"; "123456789012345678";
+            ] );
+      ]
+  in
+  let sep = frequency [ (8, return ">"); (1, oneofl [ ""; ">>"; "<"; ";" ]) ] in
+  let* pre = ws and* kw = keyword and* gap = gap and* post = ws in
+  let* body =
+    frequency
+      [
+        ( 3,
+          let* w1 = ws and* src = operand and* w2 = ws and* sep = sep
+          and* w3 = ws and* dst = operand in
+          return (w1 ^ src ^ w2 ^ sep ^ w3 ^ dst) );
+        (2, operand);
+      ]
+  in
+  return (pre ^ kw ^ gap ^ body ^ post)
+
+let prop_scanner_matches_oracle =
+  QCheck.Test.make ~name:"action scanner matches the old action_of_string"
+    ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") action_text_gen)
+    (fun text ->
+      Msgpass.Faults.action_of_string text = old_action_of_string text)
+
+(* [compiled_of_json ~n] is [compile ~n] after [plan_of_json]: the same
+   plan, or the same error text — a syntax error in any element before a
+   range error in an earlier one, a non-string element, a non-array. *)
+let prop_compiled_of_json_matches_compile =
+  let module Fa = Msgpass.Faults in
+  let module J = Obs.Json in
+  let open QCheck.Gen in
+  let small = int_bound 7 in
+  let canonical =
+    let* a = action_gen small in
+    return (Fa.action_to_string a)
+  in
+  let item =
+    frequency
+      [
+        (12, map (fun t -> J.Str t) canonical);
+        (3, map (fun t -> J.Str t) action_text_gen);
+        (1, oneofl [ J.Int 3; J.Null; J.List [] ]);
+      ]
+  in
+  let plan =
+    frequency
+      [
+        (12, map (fun l -> J.List l) (list_size (int_bound 8) item));
+        (1, oneofl [ J.Obj []; J.Str "deliver 0>1"; J.Null ]);
+      ]
+  in
+  let via_list ~n j =
+    match Fa.plan_of_json j with
+    | Error e -> Error e
+    | Ok p -> (
+        match Fa.compile ~n p with
+        | c -> Ok c
+        | exception Invalid_argument e -> Error e)
+  in
+  QCheck.Test.make ~name:"compiled_of_json matches compile after plan_of_json"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (n, j) -> Printf.sprintf "n=%d %s" n (J.to_string j))
+       (pair (int_range 1 6) plan))
+    (fun (n, j) ->
+      match (Fa.compiled_of_json ~n j, via_list ~n j) with
+      | Ok a, Ok b -> Fa.compiled_equal a b
+      | Error a, Error b -> a = b
+      | _ -> false)
+
 let corpus_text dir =
   In_channel.with_open_bin (Filename.concat dir "corpus.jsonl")
     In_channel.input_all
@@ -1170,6 +1308,196 @@ let test_fleet_resumes_at_every_byte_offset () =
   done;
   rm_rf base;
   rm_rf dir
+
+(* A small valid corpus (the same one the byte-offset crash test cuts),
+   built once, as the seed for the corpus properties below. *)
+let small_corpus =
+  lazy
+    (let module F = Msgpass.Fleet in
+     let dir =
+       Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-small-base"
+     in
+     rm_rf dir;
+     ignore
+       (F.campaign ~generations:3 ~batch:2 ~seed:5 ~corpus_dir:dir
+          (Msgpass.Chaos.sound ~n:3 ()));
+     let text = corpus_text dir in
+     rm_rf dir;
+     text)
+
+type corpus_edit =
+  | Flip of int * char
+  | Delete of int * int
+  | Insert of int * string
+  | Truncate of int
+
+let apply_edit text = function
+  | _ when text = "" -> text
+  | Flip (i, c) ->
+      let b = Bytes.of_string text in
+      Bytes.set b (i mod String.length text) c;
+      Bytes.to_string b
+  | Delete (i, len) ->
+      let i = i mod String.length text in
+      let len = min len (String.length text - i) in
+      String.sub text 0 i
+      ^ String.sub text (i + len) (String.length text - i - len)
+  | Insert (i, s) ->
+      let i = i mod (String.length text + 1) in
+      String.sub text 0 i ^ s ^ String.sub text i (String.length text - i)
+  | Truncate keep -> String.sub text 0 (keep mod (String.length text + 1))
+
+(* Hostile corpora: every file the CLI reads loads or is rejected with
+   a clear diagnostic. Flip, delete and insert bytes —
+   JSON punctuation and [\u] sequences among them — and truncate a small
+   valid corpus: a resume either loads it or raises [Corpus_error]
+   naming [corpus.jsonl:LINE:], and raises nothing else. *)
+let prop_hostile_corpus_loads_or_names_line =
+  let module F = Msgpass.Fleet in
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, oneofl [ '"'; '\\'; '['; ']'; '{'; '}'; ','; ':'; '\n'; ' ' ]);
+        (2, char_range '0' '9');
+        (2, printable);
+        (1, map Char.chr (int_bound 255));
+      ]
+  in
+  let chunk =
+    oneof
+      [
+        map (String.make 1) byte;
+        oneofl
+          [
+            "\\u"; "\\u00"; "\\u0020"; "\\ud800"; "\\udc00"; "\\ud83d\\ude00";
+            "\\u4e2d"; "\\u0_41"; "\"x\""; "0x1"; "-"; "1e999"; "null";
+            "\"deliver 0>9\","; "\"crash 7\","; "\n\n";
+          ];
+      ]
+  in
+  let edit =
+    frequency
+      [
+        (3, map2 (fun i c -> Flip (i, c)) nat byte);
+        (2, map2 (fun i l -> Delete (i, l)) nat (int_range 1 8));
+        (3, map2 (fun i s -> Insert (i, s)) nat chunk);
+        (1, map (fun k -> Truncate k) nat);
+      ]
+  in
+  let print edits =
+    String.concat "; "
+      (List.map
+         (function
+           | Flip (i, c) -> Printf.sprintf "flip %d %C" i c
+           | Delete (i, l) -> Printf.sprintf "delete %d %d" i l
+           | Insert (i, s) -> Printf.sprintf "insert %d %S" i s
+           | Truncate k -> Printf.sprintf "truncate %d" k)
+         edits)
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-hostile-corpus"
+  in
+  let file = Filename.concat dir "corpus.jsonl" in
+  let names_a_line e =
+    String.starts_with ~prefix:(file ^ ":") e
+    &&
+    let rest =
+      String.sub e (String.length file + 1)
+        (String.length e - String.length file - 1)
+    in
+    match String.index_opt rest ':' with
+    | Some j -> (
+        match int_of_string_opt (String.sub rest 0 j) with
+        | Some line -> line >= 1
+        | None -> false)
+    | None -> false
+  in
+  QCheck.Test.make ~name:"a hostile corpus loads or names its bad line"
+    ~count:200
+    (QCheck.make ~print (list_size (int_range 1 4) edit))
+    (fun edits ->
+      let text = List.fold_left apply_edit (Lazy.force small_corpus) edits in
+      rm_rf dir;
+      Sys.mkdir dir 0o755;
+      write_corpus dir text;
+      let ok =
+        match
+          F.campaign ~generations:0 ~seed:1 ~corpus_dir:dir
+            (Msgpass.Chaos.sound ~n:3 ())
+        with
+        | _ -> true
+        | exception F.Corpus_error e ->
+            names_a_line e || QCheck.Test.fail_reportf "diagnostic: %s" e
+      in
+      rm_rf dir;
+      ok)
+
+(* The reader is a JSON reader, not a byte matcher: a corpus rewritten
+   with extra whitespace, its keys reordered, an unknown key added and a
+   [\u0020] standing for an action's space resumes to the same report
+   and appends the same bytes as the canonical corpus it came from. *)
+let test_fleet_resumes_reformatted_corpus () =
+  let module F = Msgpass.Fleet in
+  let module J = Obs.Json in
+  let canonical = Lazy.force small_corpus in
+  let reformat line =
+    match J.of_string line with
+    | Error e -> Alcotest.failf "canonical line does not parse: %s" e
+    | Ok j ->
+        let id = Option.get (J.member_int "id" j)
+        and origin = Option.get (J.member_str "origin" j)
+        and plan = Option.get (J.member_list "plan" j) in
+        let action i a =
+          let text = Option.get (J.to_str a) in
+          let sp = String.index text ' ' in
+          (* The escape stands for the keyword's space, or trails the
+             action as whitespace. *)
+          if i mod 2 = 0 then
+            Printf.sprintf "\"%s\\u0020%s\"" (String.sub text 0 sp)
+              (String.sub text (sp + 1) (String.length text - sp - 1))
+          else Printf.sprintf "\" %s\\u0020\"" text
+        in
+        Printf.sprintf
+          "  { \"plan\" : [ %s ] ,\t\"note\": {\"x\": [1, null, \"\\u4e2d\"]}, \
+           \"origin\" : %s, \"id\" : %d }  "
+          (String.concat " , " (List.mapi action plan))
+          (J.to_string (J.Str origin)) id
+  in
+  let reformatted =
+    String.split_on_char '\n' canonical
+    |> List.map (fun l -> if l = "" then l else reformat l)
+    |> String.concat "\n"
+  in
+  let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
+  let run dir text =
+    rm_rf dir;
+    Sys.mkdir dir 0o755;
+    write_corpus dir text;
+    let loaded = F.load_corpus dir in
+    let r =
+      F.campaign ~generations:4 ~batch:4 ~seed:21 ~corpus_dir:dir
+        (Msgpass.Chaos.sound ~n:3 ())
+    in
+    let all = corpus_text dir in
+    let appended =
+      String.sub all (String.length text)
+        (String.length all - String.length text)
+    in
+    let report = Format.asprintf "%a" F.pp_report r in
+    rm_rf dir;
+    (loaded, report, appended)
+  in
+  let a = tmp "boundedreg-canonical" and b = tmp "boundedreg-reformatted" in
+  let loaded_a, report_a, appended_a = run a canonical in
+  let loaded_b, report_b, appended_b = run b reformatted in
+  Alcotest.(check bool) "reformatted corpus differs on disk" true
+    (canonical <> reformatted);
+  Alcotest.(check bool) "same entries loaded" true
+    (Result.is_ok loaded_a && loaded_a = loaded_b);
+  Alcotest.(check string) "same report" report_a report_b;
+  Alcotest.(check bool) "entries appended" true (appended_a <> "");
+  Alcotest.(check string) "same appended bytes" appended_a appended_b
 
 (* Witness files are as hand-editable as the corpus: a config the
    campaign would refuse (too many slots for the network, more writes
@@ -1464,6 +1792,11 @@ let () =
             test_fleet_resumes_over_torn_tail;
           Alcotest.test_case "fleet resumes at every byte offset" `Quick
             test_fleet_resumes_at_every_byte_offset;
+          QCheck_alcotest.to_alcotest prop_scanner_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_compiled_of_json_matches_compile;
+          QCheck_alcotest.to_alcotest prop_hostile_corpus_loads_or_names_line;
+          Alcotest.test_case "fleet resumes a reformatted corpus" `Quick
+            test_fleet_resumes_reformatted_corpus;
           QCheck_alcotest.to_alcotest Oracles.Boxed.prop_packed_matches_boxed;
           Alcotest.test_case "parallel campaigns match sequential" `Quick
             test_chaos_jobs_invariant;

@@ -66,7 +66,81 @@ let test_json_error_positions () =
   expect "{\"a\"" "at 4: expected ':'";
   expect "[1, 2" "at 5: expected ']'";
   expect "\"unterminated" "at 13: unterminated string";
-  expect "truexx" "at 4: trailing garbage"
+  expect "truexx" "at 4: trailing garbage";
+  (* A [\u] escape takes exactly four hex digits and decodes to UTF-8;
+     a surrogate pair is one four-byte code point, and a lone surrogate
+     is rejected at its digits. *)
+  let decodes input bytes =
+    match J.of_string input with
+    | Ok (J.Str v) ->
+        Alcotest.(check string) (Printf.sprintf "%S" input) bytes v
+    | Ok v -> Alcotest.failf "%S parsed as %s" input (J.to_string v)
+    | Error e -> Alcotest.failf "%S rejected: %s" input e
+  in
+  decodes {|"\u0041"|} "A";
+  decodes {|"\u00e9"|} "\xc3\xa9";
+  decodes {|"\u20ac"|} "\xe2\x82\xac";
+  decodes {|"\u4e2d"|} "\xe4\xb8\xad";
+  decodes {|"\uFFFF"|} "\xef\xbf\xbf";
+  decodes {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80";
+  decodes {|"a\u0020b"|} "a b";
+  expect {|"\u0_41"|} "at 3: bad \\u escape";
+  expect {|"\u+041"|} "at 3: bad \\u escape";
+  expect {|"\u12"|} "at 3: truncated \\u escape";
+  expect {|"\ud800"|} "at 3: lone surrogate \\ud800";
+  expect {|"x\udc00"|} "at 4: lone surrogate \\udc00";
+  expect {|"\ud800\u0041"|} "at 3: lone surrogate \\ud800";
+  expect {|"\ud800\uzzzz"|} "at 9: bad \\u escape"
+
+(* Printing then parsing is the identity on trees whose strings put
+   quotes, backslashes and control characters anywhere: strings with no
+   escape take the parser's plain path, the rest its escape path, and
+   the two meet at every boundary. Floats are left out: the printer
+   rounds them to 12 digits. *)
+let prop_json_roundtrip =
+  let open QCheck.Gen in
+  let str =
+    string_size (int_bound 12)
+      ~gen:
+        (frequency
+           [
+             (6, printable);
+             (2, oneofl [ '"'; '\\' ]);
+             (1, map Char.chr (int_bound 0x1f));
+             (1, map Char.chr (int_range 0x7f 0xff));
+           ])
+  in
+  let tree =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              return J.Null;
+              map (fun b -> J.Bool b) bool;
+              map (fun i -> J.Int i) int;
+              map (fun s -> J.Str s) str;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              ( 1,
+                map (fun l -> J.List l)
+                  (list_size (int_bound 4) (self (depth - 1))) );
+              ( 1,
+                map
+                  (fun l -> J.Obj l)
+                  (list_size (int_bound 4) (pair str (self (depth - 1)))) );
+            ])
+      3
+  in
+  QCheck.Test.make ~name:"JSON print/parse round-trips escaped strings"
+    ~count:500
+    (QCheck.make ~print:J.to_string tree)
+    (fun v -> J.of_string (J.to_string v) = Ok v)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -523,6 +597,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "error-positions" `Quick
             test_json_error_positions;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
       ( "metrics",
         [
