@@ -634,8 +634,15 @@ let chaos_cmd =
     check_config config;
     pp_config_line "chaos" config;
     let c = Msgpass.Chaos.campaign ?deadline ~jobs ~seed ~runs config in
-    Format.printf "@[<v>%a@]@." Msgpass.Chaos.pp_campaign c;
-    (match (print_plan, c.Msgpass.Chaos.first) with
+    (* The witness the report prints: the first violation, shrunk. *)
+    let found =
+      Option.map (Msgpass.Chaos.shrink_violation config) c.Msgpass.Chaos.first
+    in
+    Format.printf "@[<v>%a%a@]@." Msgpass.Chaos.pp_campaign c
+      (Format.pp_print_option (fun ppf f ->
+           Format.fprintf ppf "@ %a" Msgpass.Chaos.pp_found f))
+      found;
+    (match (print_plan, found) with
     | true, Some f ->
         Format.printf "shrunk plan:@.  @[<hov>%a@]@." Msgpass.Faults.pp_plan
           f.Msgpass.Chaos.shrunk

@@ -133,6 +133,30 @@ dune exec bin/boundedreg.exe -- chaos --churn-frontier --runs 40 --seed 1 \
   --jobs 2 --expect violation > "$tmp_par"
 diff "$tmp_seq" "$tmp_par"
 
+# E17 smoke: the churn-rate x register-width grid and its shrunk seed-29
+# witness, pinned, and the worker split invisible in the output. Only
+# the supervisor's elapsed-time column may differ between widths (table
+# widths are collapsed with it, since the column width follows the
+# time's digits).
+echo "== E17 smoke"
+e17_norm() {
+  sed -E '/ pass /s/[0-9]+(\.[0-9]+)?s( |$)/_\2/; s/ +/ /g; s/-+/-/g' "$1"
+}
+dune exec bin/boundedreg.exe -- run E17 --jobs 1 > "$tmp_seq"
+dune exec bin/boundedreg.exe -- run E17 --jobs 2 > "$tmp_par"
+rm -f flight-nonlinearizable.jsonl
+grep -Eq 'no churn, slack 0 +ok \(0/500\) +ok \(0/500\) +6/500 BAD +95/500 BAD' \
+  "$tmp_seq"
+grep -Eq 'churn 1/60, slack 1 +ok \(0/500\) +ok \(0/500\) +4/500 BAD +19/500 BAD' \
+  "$tmp_seq"
+grep -Eq 'churn 6/12, slack 0 +6/500 BAD +6/500 BAD +10/500 BAD +81/500 BAD' \
+  "$tmp_seq"
+tr -s ' \n' '  ' < "$tmp_seq" \
+  | grep -qF '214 events shrunk to 50 (35 deliveries, 6 churn actions)'
+seq_norm=$(e17_norm "$tmp_seq")
+printf '%s\n' "$seq_norm" > "$tmp_seq"
+e17_norm "$tmp_par" | diff "$tmp_seq" -
+
 # Fleet smoke: the coverage-guided chaos fleet. Generations mode pins the
 # workload, so a jobs=2 fleet must reproduce the jobs=1 report, corpus
 # and witness files byte-for-byte; the witness must then replay

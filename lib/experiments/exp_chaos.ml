@@ -28,14 +28,16 @@ let row ctx label config ~seed ~runs =
     ctx.Ctx.degraded
       (Printf.sprintf "chaos %s: deadline stopped campaign at %d/%d runs"
          label c.C.runs c.C.requested);
-  let found =
-    match c.C.first with
+  (* The witness this row prints: the first violation, shrunk. *)
+  let found = Option.map (C.shrink_violation config) c.C.first in
+  let cells =
+    match found with
     | None -> [ "-"; "-"; "-" ]
     | Some f ->
         [
-          string_of_int f.C.seed;
+          string_of_int f.C.violation.C.seed;
           Printf.sprintf "%d -> %d (%d deliveries)"
-            (Msgpass.Faults.compiled_length f.C.original.C.plan)
+            (Msgpass.Faults.compiled_length f.C.violation.C.outcome.C.plan)
             (List.length f.C.shrunk)
             (Msgpass.Faults.deliveries f.C.shrunk);
           (match f.C.shrunk_outcome.C.verdict with
@@ -43,13 +45,13 @@ let row ctx label config ~seed ~runs =
           | L.Linearizable _ -> "linearizable (?)");
         ]
   in
-  (c,
+  (found,
    [
      label;
      Printf.sprintf "%d/%d" c.C.violations c.C.runs;
      string_of_int c.C.total_completed;
    ]
-   @ found)
+   @ cells)
 
 let run ctx ppf =
   Format.fprintf ppf
@@ -79,7 +81,7 @@ let run ctx ppf =
         "plan shrunk"; "replayed verdict";
       ]
     [ sound_row; frontier_row ];
-  (match frontier.C.first with
+  (match frontier with
   | Some f ->
       Format.fprintf ppf
         "Minimal frontier counterexample (replay with: boundedreg chaos@\n\

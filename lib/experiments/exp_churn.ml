@@ -104,19 +104,20 @@ let run ctx ppf =
      under above-bound churn lose a completed write to a majority of@\n\
      survivors; a wrapped timestamp makes fresh data compare below stale.@\n@\n";
   (* The pinned counterexample: the churn-frontier preset's first
-     violating seed, shrunk to a minimal replayable plan. *)
+     violating seed, shrunk to a minimal replayable plan — the one
+     witness this experiment prints, so the one it shrinks. *)
+  let config = C.churn_frontier () in
   let frontier =
-    C.campaign ?deadline ~jobs:ctx.Ctx.jobs ~seed:witness_seed ~runs:1
-      (C.churn_frontier ())
+    C.campaign ?deadline ~jobs:ctx.Ctx.jobs ~seed:witness_seed ~runs:1 config
   in
-  (match frontier.C.first with
+  (match Option.map (C.shrink_violation config) frontier.C.first with
   | Some f ->
       Format.fprintf ppf
         "Minimal churn counterexample (replay with: boundedreg chaos@\n\
          --churn-frontier --seed %d --runs 1 --plan): %d events shrunk@\n\
          to %d (%d deliveries, %d churn actions):@\n  @[<hov>%a@]@\n@\n"
         witness_seed
-        (Msgpass.Faults.compiled_length f.C.original.C.plan)
+        (Msgpass.Faults.compiled_length f.C.violation.C.outcome.C.plan)
         (List.length f.C.shrunk)
         (Msgpass.Faults.deliveries f.C.shrunk)
         (List.length

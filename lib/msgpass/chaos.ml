@@ -711,13 +711,20 @@ let shrink config plan =
   let test p = failed (run_plan config p) in
   Check.Shrink.minimize_count ~test plan
 
+type violation = { seed : int; outcome : outcome }
+
 type found = {
-  seed : int;
-  original : outcome;
+  violation : violation;
   shrunk : Faults.plan;
   shrunk_outcome : outcome;
   shrink_tests : int;
 }
+
+let shrink_violation config violation =
+  let shrunk, shrink_tests =
+    shrink config (Faults.decompile violation.outcome.plan)
+  in
+  { violation; shrunk; shrunk_outcome = run_plan config shrunk; shrink_tests }
 
 type campaign = {
   runs : int;
@@ -726,14 +733,14 @@ type campaign = {
   violations : int;
   total_events : int;
   total_completed : int;
-  first : found option;
+  first : violation option;
 }
 
 let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
   (* Construction-time validation: hard errors raise here rather than
      letting an unsatisfiable quorum silently run; soft problems (more
      crashes than t) clamp with a warning — printed once per campaign,
-     not per run, so ddmin's replay storm stays quiet. *)
+     not per run. *)
   let config =
     match validate config with
     | Error e -> invalid_arg (Printf.sprintf "Chaos.campaign: %s" e)
@@ -793,7 +800,7 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
   in
   (* Fold one run's outcome into the campaign, on the main domain: the
      per-run metrics, trace instant and (for the first violation) the
-     inline shrink happen here in seed order, so a parallel campaign
+     flight dump happen here in seed order, so a parallel campaign
      replays exactly the sequential tally — byte-identical verdicts,
      counts and traces for a fixed seed. *)
   let tally s o =
@@ -840,23 +847,13 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
     let first =
       match (c.first, failed o) with
       | None, true ->
-          let shrunk, shrink_tests = shrink config (Faults.decompile o.plan) in
-          let found =
-            {
-              seed = s;
-              original = o;
-              shrunk;
-              shrunk_outcome = run_plan config shrunk;
-              shrink_tests;
-            }
-          in
           (* First NONLINEARIZABLE verdict: dump the flight recorder.
              The rings now hold the failing run's chaos.run instant
-             (rng point, crash/churn schedule) and the shrink replays —
-             enough to reproduce without having traced. Best-effort and
-             silent: campaigns run inside tests too. *)
+             (rng point, crash/churn schedule) — enough to reproduce
+             without having traced. Best-effort and silent: campaigns
+             run inside tests too. *)
           ignore (Obs.Recorder.dump ~reason:"nonlinearizable" () : string option);
-          Some found
+          Some { seed = s; outcome = o }
       | first, _ -> first
     in
     acc :=
@@ -927,50 +924,22 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
     "chaos.campaign";
   c
 
-type verdict =
-  | Verified_sampled of { runs : int; requested : int }
-  | Violation of found
-
-let verdict c =
-  match c.first with
-  | Some f -> Violation f
-  | None -> Verified_sampled { runs = c.runs; requested = c.requested }
-
-let verdict_ok = function
-  | Verified_sampled _ -> true
-  | Violation _ -> false
-
-let pp_verdict ppf = function
-  | Verified_sampled { runs; requested } ->
-      if runs = requested then
-        Format.fprintf ppf "verified (sampled): %d/%d runs linearizable" runs
-          requested
-      else
-        Format.fprintf ppf
-          "verified (sampled, DEGRADED by deadline): %d/%d runs linearizable"
-          runs requested
-  | Violation f ->
-      Format.fprintf ppf "violation at seed %d: %a" f.seed
-        (L.pp_verdict Format.pp_print_int)
-        f.shrunk_outcome.verdict
-
 let pp_campaign ppf c =
   Format.fprintf ppf
     "%d runs, %d violation(s), %d fault events, %d completed ops" c.runs
     c.violations c.total_events c.total_completed;
   if c.degraded then
     Format.fprintf ppf " (deadline: stopped %d run(s) short)"
-      (c.requested - c.runs);
-  match c.first with
-  | None -> ()
-  | Some f ->
-      Format.fprintf ppf
-        "@ first at seed %d: plan %d events -> shrunk %d (%d deliveries, %d \
-         replays); replayed verdict: %a"
-        f.seed
-        (Faults.compiled_length f.original.plan)
-        (List.length f.shrunk)
-        (Faults.deliveries f.shrunk)
-        f.shrink_tests
-        (L.pp_verdict Format.pp_print_int)
-        f.shrunk_outcome.verdict
+      (c.requested - c.runs)
+
+let pp_found ppf f =
+  Format.fprintf ppf
+    "first at seed %d: plan %d events -> shrunk %d (%d deliveries, %d \
+     replays); replayed verdict: %a"
+    f.violation.seed
+    (Faults.compiled_length f.violation.outcome.plan)
+    (List.length f.shrunk)
+    (Faults.deliveries f.shrunk)
+    f.shrink_tests
+    (L.pp_verdict Format.pp_print_int)
+    f.shrunk_outcome.verdict

@@ -16,11 +16,13 @@
     runs whose completed write vanishes from a later read:
     [Nonlinearizable], found by seed search rather than eyeballing.
 
-    A failing random run is then {e shrunk}: {!Check.Shrink.ddmin} deletes
-    fault-plan actions while replaying ({!run_plan}) keeps the verdict,
-    converging on a 1-minimal plan — for the frontier configuration,
-    around 17 delivery events: one write-request delivery, one read served
-    by fresh copies, one read served by stale ones.
+    A campaign records its first failing run; a caller that prints a
+    witness then {e shrinks} it ({!shrink_violation}):
+    {!Check.Shrink.ddmin} deletes fault-plan actions while replaying
+    ({!run_plan}) keeps the verdict, converging on a 1-minimal plan — for
+    the frontier configuration, around 17 delivery events: one
+    write-request delivery, one read served by fresh copies, one read
+    served by stale ones.
 
     With [membership] set, the fleet is dynamic instead: {!Dynreg} peers
     over a churning membership, with an α-bounded schedule of
@@ -156,13 +158,21 @@ val shrink : config -> Faults.plan -> Faults.plan * int
 (** ddmin a failing plan down to a 1-minimal failing plan, and the number
     of replays spent. Returns the input unchanged when it does not fail. *)
 
+type violation = { seed : int; outcome : outcome }
+(** A campaign's first failing run: its seed and its outcome, whose
+    [plan] replays it. *)
+
 type found = {
-  seed : int;
-  original : outcome;
+  violation : violation;
   shrunk : Faults.plan;
   shrunk_outcome : outcome;  (** replay of the shrunk plan: still failing *)
-  shrink_tests : int;
+  shrink_tests : int;  (** replays ddmin spent *)
 }
+
+val shrink_violation : config -> violation -> found
+(** {!shrink} the violation's plan and replay the result — the witness a
+    caller prints. Runs on the calling domain, independent of the
+    campaign's [jobs], so a witness is the same at any width. *)
 
 type campaign = {
   runs : int;  (** runs actually completed *)
@@ -171,36 +181,36 @@ type campaign = {
   violations : int;
   total_events : int;
   total_completed : int;
-  first : found option;  (** first violation, shrunk and re-verified *)
+  first : violation option;
+      (** the first failing run in seed order, unshrunk — a campaign
+          does no shrinking; {!shrink_violation} does it on demand *)
 }
 
 val campaign :
   ?deadline:float -> ?jobs:int -> seed:int -> runs:int -> config -> campaign
-(** Seeds [seed .. seed + runs - 1], every run checked; the first failing
-    run is shrunk and its shrunk plan replayed. [deadline] (seconds,
+(** Seeds [seed .. seed + runs - 1], every run checked and tallied; the
+    first failing run is recorded in [first] and dumps the flight
+    recorder ([flight-nonlinearizable.jsonl]), and the campaign's end
+    span carries its seed as [first_violation_seed]. [deadline] (seconds,
     default none) is checked between runs: when it passes, the campaign
     stops early with [degraded = true] and however many runs it finished —
     graceful degradation rather than an unbounded tail. An individual run
     is already bounded by [config.max_events], so the overshoot past the
-    deadline is at most one run (plus one shrink, if that run fails).
+    deadline is at most one run.
 
     [jobs] (default 1) fans the seeded runs — mutually independent by
     construction — over a domain pool ({!Sched.Par.run_units}). Outcomes
     are folded in seed order on the calling domain, where the per-run
-    metrics, trace instants and the first violation's shrink also happen:
-    for a fixed [seed], verdicts, counts and traces are byte-identical
-    across any [jobs]. The one exception is a tripped [deadline], where
+    metrics, trace instants and the flight dump also happen: for a fixed
+    [seed], verdicts, counts and traces are byte-identical across any
+    [jobs]. The one exception is a tripped [deadline], where
     how many runs finished inherently depends on the pool; the fold still
     consumes a contiguous seed prefix, mirroring sequential semantics. *)
 
-type verdict =
-  | Verified_sampled of { runs : int; requested : int }
-      (** no violation in [runs] seeded runs; [runs < requested] means the
-          deadline degraded the campaign *)
-  | Violation of found  (** a nonlinearizable run, shrunk and replayed *)
-
-val verdict : campaign -> verdict
-val verdict_ok : verdict -> bool
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val pp_campaign : Format.formatter -> campaign -> unit
+(** The tally line: runs, violations, fault events, completed ops, and
+    how many runs a deadline cut. *)
+
+val pp_found : Format.formatter -> found -> unit
+(** The witness line: seed, plan length before and after shrinking,
+    deliveries, replays, and the shrunk plan's replayed verdict. *)

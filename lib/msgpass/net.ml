@@ -50,11 +50,14 @@ type 'm push = {
 
    Membership is three flat bitsets ([n <= 61] so a set is one
    immediate int): [alive] (not crashed), [present] (entered, not yet
-   departed), [left] (departed gracefully). The per-event deliverable
-   scan is a walk over [q_len] against [alive land present] — no list
-   is ever built; [deliverable_into] writes channel codes into the
-   preallocated [scratch] buffer in lexicographic order, exactly the
-   order the old persistent implementation enumerated. *)
+   departed), [left] (departed gracefully). [busy.(src)] is the bitset
+   of destinations whose [src -> dst] ring is non-empty, kept in step
+   with [q_len] wherever a ring is pushed or popped. The per-event
+   deliverable scan walks each source's [busy land alive land present]
+   bits — empty rows cost one test, and no list is ever built;
+   [deliverable_into] writes channel codes into the preallocated
+   [scratch] buffer in lexicographic order, exactly the order the old
+   persistent implementation enumerated. *)
 type 'm t = {
   size : int;
   pushes : 'm push array;
@@ -62,6 +65,7 @@ type 'm t = {
   q_msg : 'm array array;  (** per channel: ring of payloads; [] until first send *)
   q_head : int array;
   q_len : int array;
+  busy : int array;  (** per source: bitset of non-empty destinations *)
   mutable alive : int;  (** bitset: not crashed *)
   mutable present : int;  (** bitset: entered and not departed *)
   mutable left : int;  (** bitset: departed gracefully *)
@@ -93,14 +97,26 @@ let grow t ch =
   end;
   t.q_head.(ch) <- 0
 
-let ring_push t ch stamp m =
+let ring_push t ~src ~dst stamp m =
+  let ch = (src * t.size) + dst in
   if t.q_len.(ch) = Array.length t.q_stamp.(ch) then grow t ch;
   let cap = Array.length t.q_stamp.(ch) in
   if Array.length t.q_msg.(ch) = 0 then t.q_msg.(ch) <- Array.make cap m;
   let tail = (t.q_head.(ch) + t.q_len.(ch)) land (cap - 1) in
   t.q_stamp.(ch).(tail) <- stamp;
   t.q_msg.(ch).(tail) <- m;
-  t.q_len.(ch) <- t.q_len.(ch) + 1
+  t.q_len.(ch) <- t.q_len.(ch) + 1;
+  t.busy.(src) <- t.busy.(src) lor bit dst
+
+(* Pop the head of [src -> dst] (non-empty), returning its slot index. *)
+let ring_pop t ~src ~dst =
+  let ch = (src * t.size) + dst in
+  let head = t.q_head.(ch) in
+  let len = t.q_len.(ch) - 1 in
+  t.q_head.(ch) <- (head + 1) land (Array.length t.q_stamp.(ch) - 1);
+  t.q_len.(ch) <- len;
+  if len = 0 then t.busy.(src) <- t.busy.(src) land lnot (bit dst);
+  head
 
 (* A node's own sends, while it is alive and present. Mirrors the old
    [enqueue]: messages from a crashed or absent source vanish silently,
@@ -109,7 +125,7 @@ let do_send t src dst m =
   if has t.alive src && has t.present src then begin
     if dst < 0 || dst >= t.size then invalid_arg "Net: destination out of range";
     if !Obs.Metrics.hot then Obs.Metrics.inc m_sends;
-    ring_push t ((src * t.size) + dst) t.delivered m
+    ring_push t ~src ~dst t.delivered m
   end
 
 let max_slots = 61
@@ -133,6 +149,7 @@ let create_push ?(present = fun _ -> true) ~n ~nodes () =
       q_msg = Array.make (n * n) [||];
       q_head = Array.make (n * n) 0;
       q_len = Array.make (n * n) 0;
+      busy = Array.make n 0;
       alive = (1 lsl n) - 1;
       present = !present_mask;
       left = 0;
@@ -165,6 +182,7 @@ let reset ?(present = fun _ -> true) t =
   let n = t.size in
   Array.fill t.q_head 0 (n * n) 0;
   Array.fill t.q_len 0 (n * n) 0;
+  Array.fill t.busy 0 n 0;
   t.alive <- (1 lsl n) - 1;
   t.left <- 0;
   t.delivered <- 0;
@@ -185,12 +203,14 @@ let deliverable_into t buf =
   let live = t.alive land t.present in
   let k = ref 0 in
   for src = 0 to n - 1 do
-    let row = src * n in
-    for dst = 0 to n - 1 do
-      if t.q_len.(row + dst) > 0 && has live dst then begin
-        buf.(!k) <- row + dst;
+    let m = ref (t.busy.(src) land live) and ch = ref (src * n) in
+    while !m <> 0 do
+      if !m land 1 <> 0 then begin
+        buf.(!k) <- !ch;
         incr k
-      end
+      end;
+      m := !m lsr 1;
+      incr ch
     done
   done;
   !k
@@ -219,12 +239,9 @@ let deliver t ~src ~dst =
   if (not (has t.alive dst)) || (not (has t.present dst)) || t.q_len.(ch) = 0
   then false
   else begin
-    let head = t.q_head.(ch) in
-    let cap = Array.length t.q_stamp.(ch) in
+    let head = ring_pop t ~src ~dst in
     let stamp = t.q_stamp.(ch).(head) in
     let m = t.q_msg.(ch).(head) in
-    t.q_head.(ch) <- (head + 1) land (cap - 1);
-    t.q_len.(ch) <- t.q_len.(ch) - 1;
     let hops = t.delivered - stamp in
     t.delivered <- t.delivered + 1;
     t.hop_mask <- t.hop_mask lor (1 lsl hop_bucket hops);
@@ -253,9 +270,7 @@ let drop t ~src ~dst =
   let ch = (src * t.size) + dst in
   if t.q_len.(ch) = 0 then false
   else begin
-    let cap = Array.length t.q_stamp.(ch) in
-    t.q_head.(ch) <- (t.q_head.(ch) + 1) land (cap - 1);
-    t.q_len.(ch) <- t.q_len.(ch) - 1;
+    ignore (ring_pop t ~src ~dst : int);
     if !Obs.Metrics.hot then Obs.Metrics.inc m_drops;
     if Obs.Sink.enabled () then
       Obs.Span.instant ~cat:"net" ~track:dst ~args:(channel_args ~src) "drop";
@@ -270,7 +285,7 @@ let duplicate t ~src ~dst =
     (* The copy keeps the original's stamp: its eventual delivery
        reports the age of the data, not of the duplication. *)
     let head = t.q_head.(ch) in
-    ring_push t ch t.q_stamp.(ch).(head) t.q_msg.(ch).(head);
+    ring_push t ~src ~dst t.q_stamp.(ch).(head) t.q_msg.(ch).(head);
     if !Obs.Metrics.hot then Obs.Metrics.inc m_duplicates;
     if Obs.Sink.enabled () then
       Obs.Span.instant ~cat:"net" ~track:dst ~args:(channel_args ~src)
@@ -283,13 +298,10 @@ let defer t ~src ~dst =
   let ch = (src * t.size) + dst in
   if t.q_len.(ch) < 2 then false
   else begin
-    let head = t.q_head.(ch) in
-    let cap = Array.length t.q_stamp.(ch) in
+    let head = ring_pop t ~src ~dst in
     let stamp = t.q_stamp.(ch).(head) in
     let m = t.q_msg.(ch).(head) in
-    t.q_head.(ch) <- (head + 1) land (cap - 1);
-    t.q_len.(ch) <- t.q_len.(ch) - 1;
-    ring_push t ch stamp m;
+    ring_push t ~src ~dst stamp m;
     if !Obs.Metrics.hot then Obs.Metrics.inc m_defers;
     if Obs.Sink.enabled () then
       Obs.Span.instant ~cat:"net" ~track:dst ~args:(channel_args ~src) "defer";

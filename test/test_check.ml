@@ -253,6 +253,46 @@ let test_frontier_seed_127 () =
   Alcotest.(check bool) "replay deterministic" true
     (again.C.history = replayed.C.history)
 
+(* A campaign records its first violation unshrunk; shrinking that
+   record on demand must reproduce the published witnesses exactly:
+   frontier seed 127 (EXPERIMENTS.md E15) and the churn-frontier sweep
+   from seed 1, whose first violation is seed 29 (E17). *)
+let test_campaign_first_shrinks_to_witnesses () =
+  let witness config ~seed ~runs =
+    let c = C.campaign ~seed ~runs config in
+    match c.C.first with
+    | None -> Alcotest.failf "campaign from seed %d found no violation" seed
+    | Some v ->
+        Alcotest.(check bool) "first violation fails" true (C.failed v.C.outcome);
+        let f = C.shrink_violation config v in
+        Alcotest.(check bool) "shrunk plan still fails" true
+          (C.failed f.C.shrunk_outcome);
+        f
+  in
+  (* seed, plan events, shrunk events, shrunk deliveries, replays *)
+  let counts (f : C.found) =
+    [
+      f.C.violation.C.seed;
+      Msgpass.Faults.compiled_length f.C.violation.C.outcome.C.plan;
+      List.length f.C.shrunk;
+      Msgpass.Faults.deliveries f.C.shrunk;
+      f.C.shrink_tests;
+    ]
+  in
+  let frontier = witness (C.frontier ()) ~seed:127 ~runs:1 in
+  Alcotest.(check (list int)) "frontier witness" [ 127; 126; 23; 19; 1746 ]
+    (counts frontier);
+  let churn = witness (C.churn_frontier ()) ~seed:1 ~runs:40 in
+  Alcotest.(check (list int)) "churn witness" [ 29; 214; 50; 35; 5097 ]
+    (counts churn);
+  Alcotest.(check int) "churn: churn actions in the shrunk plan" 6
+    (List.length
+       (List.filter
+          (function
+            | Msgpass.Faults.Enter _ | Msgpass.Faults.Leave _ -> true
+            | _ -> false)
+          churn.C.shrunk))
+
 let test_run_plan_reproduces_run_random () =
   let config = C.sound () in
   let o = C.run_random ~seed:3 config in
@@ -293,5 +333,8 @@ let () =
             `Quick test_frontier_seed_127;
           Alcotest.test_case "plan replay reproduces random run" `Quick
             test_run_plan_reproduces_run_random;
+          Alcotest.test_case "campaign's first violation shrinks to the \
+                              published witnesses" `Quick
+            test_campaign_first_shrinks_to_witnesses;
         ] );
     ]

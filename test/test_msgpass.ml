@@ -384,22 +384,28 @@ let test_chaos_deterministic () =
 
 (* Parallel campaigns must be byte-identical to sequential ones: outcomes
    are computed on worker domains but tallied on the main domain in seed
-   order, so the verdict, the totals, and the shrunk counterexample are
-   all invariant in [jobs]. *)
+   order, so the verdict, the totals, the first violation and its shrunk
+   counterexample are all invariant in [jobs]. *)
 let test_chaos_jobs_invariant () =
   let module C = Msgpass.Chaos in
   List.iter
     (fun (label, config, seed, runs) ->
-      let campaign jobs = C.campaign ~jobs ~seed ~runs config in
-      let seq = campaign 1 in
-      let seq_pp = Format.asprintf "%a" C.pp_campaign seq in
+      let campaign jobs =
+        let c = C.campaign ~jobs ~seed ~runs config in
+        let found = Option.map (C.shrink_violation config) c.C.first in
+        ( c,
+          Format.asprintf "%a%a" C.pp_campaign c
+            (Format.pp_print_option C.pp_found)
+            found,
+          Option.map (fun f -> f.C.shrunk) found )
+      in
+      let seq, seq_pp, seq_shrunk = campaign 1 in
       List.iter
         (fun jobs ->
-          let par = campaign jobs in
+          let par, par_pp, par_shrunk = campaign jobs in
           Alcotest.(check string)
             (Printf.sprintf "%s: jobs=%d renders identically" label jobs)
-            seq_pp
-            (Format.asprintf "%a" C.pp_campaign par);
+            seq_pp par_pp;
           Alcotest.(check int)
             (Printf.sprintf "%s: jobs=%d same violations" label jobs)
             seq.C.violations par.C.violations;
@@ -408,9 +414,7 @@ let test_chaos_jobs_invariant () =
             seq.C.total_events par.C.total_events;
           Alcotest.(check bool)
             (Printf.sprintf "%s: jobs=%d same shrunk plan" label jobs)
-            true
-            (Option.map (fun f -> f.C.shrunk) seq.C.first
-            = Option.map (fun f -> f.C.shrunk) par.C.first))
+            true (seq_shrunk = par_shrunk))
         [ 2; 4 ])
     [
       ("sound", C.sound (), 1, 50);
