@@ -143,6 +143,10 @@ e17_norm() {
   sed -E '/ pass /s/[0-9]+(\.[0-9]+)?s( |$)/_\2/; s/ +/ /g; s/-+/-/g' "$1"
 }
 dune exec bin/boundedreg.exe -- run E17 --jobs 1 > "$tmp_seq"
+# The grid's last flight dump is a full ring: it must read back whole
+# through a real consumer of the event encoding.
+dune exec bin/boundedreg.exe -- report flight-nonlinearizable.jsonl \
+  | grep -qF '4096 event(s)'
 dune exec bin/boundedreg.exe -- run E17 --jobs 2 > "$tmp_par"
 rm -f flight-nonlinearizable.jsonl
 grep -Eq 'no churn, slack 0 +ok \(0/500\) +ok \(0/500\) +6/500 BAD +95/500 BAD' \

@@ -17,13 +17,14 @@ let h_hop_latency = Obs.Metrics.histogram ~bounds:hop_bounds "net.hop_latency"
 
 (* Index of the hop-latency bucket [hops] lands in (last = overflow) —
    the same bucketing the registry histogram applies, computed locally so
-   each network can report which buckets its own deliveries occupied. *)
-let hop_bucket hops =
-  let rec go i =
-    if i >= Array.length hop_bounds || hops <= hop_bounds.(i) then i
-    else go (i + 1)
-  in
-  go 0
+   each network can report which buckets its own deliveries occupied.
+   A top-level recursion: a local one would capture [hops] in a closure
+   allocated on every delivery. *)
+let rec hop_bucket_from i hops =
+  if i >= Array.length hop_bounds || hops <= hop_bounds.(i) then i
+  else hop_bucket_from (i + 1) hops
+
+let hop_bucket hops = hop_bucket_from 0 hops
 
 type 'm node = {
   on_start : unit -> (int * 'm) list;

@@ -15,11 +15,38 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* Decimal digits written straight into the buffer, most significant
+   first: no [string_of_int] (a C format call and a fresh string) per
+   number. [min_int] has no positive negation, so it takes the slow
+   path. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b i =
+  if i >= 0 then add_digits b i
+  else if i = min_int then Buffer.add_string b (string_of_int i)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-i)
+  end
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Most strings (event names, categories, argument keys) hold nothing
+   to escape: one scan, then the whole string in one blit. *)
 let escape_to b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n && not (needs_escape (String.unsafe_get s !i)) do
+    incr i
+  done;
+  if !i = n then Buffer.add_string b s
+  else begin
+    Buffer.add_substring b s 0 !i;
+    for j = !i to n - 1 do
+      match String.unsafe_get s j with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
@@ -27,14 +54,15 @@ let escape_to b s =
       | '\t' -> Buffer.add_string b "\\t"
       | c when Char.code c < 0x20 ->
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c -> Buffer.add_char b c
+    done
+  end;
   Buffer.add_char b '"'
 
 let rec to_buffer b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int i -> Buffer.add_string b (string_of_int i)
+  | Int i -> add_int b i
   | Float f ->
       if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.12g" f)
       else Buffer.add_string b "null"

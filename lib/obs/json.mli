@@ -19,6 +19,17 @@ type t =
 val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
+val add_int : Buffer.t -> int -> unit
+(** [add_int b i] appends exactly [string_of_int i], digit by digit,
+    without building the string. *)
+
+val escape_to : Buffer.t -> string -> unit
+(** [escape_to b s] appends [s] as a quoted JSON string: double quote
+    and backslash are backslash-escaped, newline, carriage return and
+    tab by name, other bytes below [0x20] as [\u00XX]; every other
+    byte (DEL, UTF-8) is copied verbatim. A string with nothing to
+    escape is appended in one blit. *)
+
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on missing fields and non-objects. *)
 

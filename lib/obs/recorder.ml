@@ -57,22 +57,22 @@ let record e =
   Array.unsafe_set r.slots (r.count land mask) e;
   r.count <- r.count + 1
 
-(* Oldest-to-newest contents of a ring. *)
-let ring_events r =
-  let n = min r.count capacity in
-  let start = r.count - n in
-  List.init n (fun i -> r.slots.((start + i) land mask))
+(* A ring's contents, oldest to newest. *)
+let iter_ring f r =
+  for i = max 0 (r.count - capacity) to r.count - 1 do
+    f r.slots.(i land mask)
+  done
 
 let retire () =
   let r = Domain.DLS.get key in
   if not r.main then begin
     locked (fun () ->
         rings := List.filter (fun x -> x != r) !rings;
-        List.iter
+        iter_ring
           (fun e ->
             graveyard.slots.(graveyard.count land mask) <- e;
             graveyard.count <- graveyard.count + 1)
-          (ring_events r));
+          r);
     r.count <- 0
   end
 
@@ -88,30 +88,50 @@ let all_rings () =
       mains @ (if graveyard.count > 0 then [ graveyard ] else []) @ workers)
 
 let events () =
-  List.concat_map (fun r -> List.map (fun e -> (r.domain, e)) (ring_events r))
-    (all_rings ())
+  let acc = ref [] in
+  List.iter
+    (fun r -> iter_ring (fun e -> acc := (r.domain, e) :: !acc) r)
+    (all_rings ());
+  List.rev !acc
 
 let clear () =
   locked (fun () ->
       List.iter (fun r -> r.count <- 0) !rings;
       graveyard.count <- 0)
 
+(* A dump streams: every event is encoded into one reused buffer, which
+   goes to the channel each time it passes [block] bytes — a full ring
+   (~1.1 MB of JSONL) is never held in memory whole. Every [Sys_error]
+   (open, write, flush, close) makes the dump [None]: a dump is a
+   post-mortem aid and must never become the failure it reports. *)
+let block = 65536
+
 let dump ?(dir = Filename.current_dir_name) ~reason () =
-  let recorded = events () in
-  if recorded = [] then None
+  let rings = all_rings () in
+  if List.for_all (fun r -> r.count = 0) rings then None
   else
     let file = Filename.concat dir (Printf.sprintf "flight-%s.jsonl" reason) in
     match open_out file with
     | exception Sys_error _ -> None
-    | oc ->
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            List.iter
-              (fun (dom, e) ->
-                output_string oc
-                  (Json.to_string
-                     (Json.Obj (("dom", Json.Int dom) :: Sink.event_fields e)));
-                output_char oc '\n')
-              recorded);
-        Some file
+    | oc -> (
+        let b = Buffer.create (2 * block) in
+        let write r =
+          iter_ring
+            (fun e ->
+              Sink.add_event ~dom:r.domain b e;
+              Buffer.add_char b '\n';
+              if Buffer.length b >= block then begin
+                Buffer.output_buffer oc b;
+                Buffer.clear b
+              end)
+            r
+        in
+        match
+          List.iter write rings;
+          Buffer.output_buffer oc b;
+          close_out oc
+        with
+        | () -> Some file
+        | exception Sys_error _ ->
+            close_out_noerr oc;
+            None)

@@ -38,8 +38,10 @@ val dump : ?dir:string -> reason:string -> unit -> string option
 (** [dump ~reason ()] writes [flight-<reason>.jsonl] (under [dir],
     default the current directory): one JSON object per recorded event,
     each prefixed with a ["dom"] field naming the recording domain; the
-    main domain's events come first, oldest first. Returns the path, or
-    [None] when nothing was recorded or the write failed — a dump is
+    main domain's events come first, oldest first. Lines are encoded by
+    {!Sink.add_event} and written in ~64 KB blocks, never as one
+    whole-file string. Returns the path, or [None] when nothing was
+    recorded or any open, write, flush or close failed — a dump is
     best-effort and never raises. *)
 
 val events : unit -> (int * Sink.event) list

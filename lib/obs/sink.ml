@@ -134,24 +134,36 @@ let kind_of_string = function
   | "i" -> Some Instant
   | _ -> None
 
-let event_fields e =
-  let base =
-    [
-      ("name", Json.Str e.name);
-      ("cat", Json.Str e.cat);
-      ("ph", Json.Str (kind_to_string e.kind));
-      ("ts", Json.Int e.ts);
-      ("pid", Json.Int 0);
-      ("tid", Json.Int e.track);
-    ]
-  in
-  let scope = match e.kind with Instant -> [ ("s", Json.Str "t") ] | _ -> [] in
-  let args =
-    match e.args with [] -> [] | args -> [ ("args", Json.Obj args) ]
-  in
-  base @ scope @ args
-
-let event_json e = Json.Obj (event_fields e)
+(* The one JSON event encoder, written straight into [b]: no field list,
+   no intermediate string. Its bytes are fixed — traces and flight dumps
+   are diffed byte for byte — and are those of the object
+   [{"dom"?, "name", "cat", "ph", "ts", "pid": 0, "tid", "s": "t" on
+   instants, "args" when non-empty}] in that order. *)
+let add_event ?dom b e =
+  (match dom with
+  | None -> Buffer.add_string b "{\"name\":"
+  | Some d ->
+      Buffer.add_string b "{\"dom\":";
+      Json.add_int b d;
+      Buffer.add_string b ",\"name\":");
+  Json.escape_to b e.name;
+  Buffer.add_string b ",\"cat\":";
+  Json.escape_to b e.cat;
+  Buffer.add_string b ",\"ph\":\"";
+  Buffer.add_string b (kind_to_string e.kind);
+  Buffer.add_string b "\",\"ts\":";
+  Json.add_int b e.ts;
+  Buffer.add_string b ",\"pid\":0,\"tid\":";
+  Json.add_int b e.track;
+  (match e.kind with
+  | Instant -> Buffer.add_string b ",\"s\":\"t\""
+  | Begin | End -> ());
+  (match e.args with
+  | [] -> ()
+  | args ->
+      Buffer.add_string b ",\"args\":";
+      Json.to_buffer b (Json.Obj args));
+  Buffer.add_char b '}'
 
 let event_of_json j =
   let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
@@ -181,15 +193,19 @@ let event_of_json j =
    ([output_string oc]) and Buffers ([Buffer.add_string b]). *)
 
 let jsonl write =
+  let b = Buffer.create 256 in
   {
     emit =
       (fun e ->
-        write (Json.to_string (event_json e));
-        write "\n");
+        Buffer.clear b;
+        add_event b e;
+        Buffer.add_char b '\n';
+        write (Buffer.contents b));
     flush = ignore;
   }
 
 let catapult write =
+  let b = Buffer.create 256 in
   let first = ref true in
   let opened = ref false in
   let closed = ref false in
@@ -200,8 +216,10 @@ let catapult write =
           opened := true;
           write "[\n"
         end;
-        if !first then first := false else write ",\n";
-        write (Json.to_string (event_json e)));
+        Buffer.clear b;
+        if !first then first := false else Buffer.add_string b ",\n";
+        add_event b e;
+        write (Buffer.contents b));
     flush =
       (fun () ->
         if not !closed then begin

@@ -85,16 +85,16 @@ val with_sink : t -> (unit -> 'a) -> 'a
 
 (** {2 Serialization} *)
 
-val event_fields : event -> (string * Json.t) list
-(** The fields of {!event_json}, exposed so writers that prepend their
-    own fields (the flight {!Recorder}'s [dom]) stay in one format. *)
-
-val event_json : event -> Json.t
-(** Chrome [trace_event] object: [name]/[cat]/[ph]/[ts]/[pid]/[tid],
-    [s:"t"] on instants, [args] when non-empty. *)
+val add_event : ?dom:int -> Buffer.t -> event -> unit
+(** Append one event as a one-line Chrome [trace_event] object:
+    [name]/[cat]/[ph]/[ts]/[pid]/[tid], [s:"t"] on instants, [args] when
+    non-empty; [?dom] prepends a ["dom"] field (the flight {!Recorder}'s
+    recording domain). The one event encoder: the JSONL and catapult
+    writers and flight dumps all go through it. Writes straight into the
+    buffer — no intermediate {!Json.t} or string. *)
 
 val event_of_json : Json.t -> event option
-(** Inverse of {!event_json}; [None] when [name]/[ph] are missing.
+(** Inverse of {!add_event}; [None] when [name]/[ph] are missing.
     Unknown fields (e.g. a flight dump's [dom]) are ignored. *)
 
 val kind_to_string : kind -> string
@@ -103,7 +103,7 @@ val kind_to_string : kind -> string
     ([output_string oc]) and buffers ([Buffer.add_string b]). *)
 
 val jsonl : (string -> unit) -> t
-(** One {!event_json} object per line. *)
+(** One {!add_event} object per line, one [write] per event. *)
 
 val catapult : (string -> unit) -> t
 (** A Chrome [trace_event] JSON array, viewable in [about:tracing] and

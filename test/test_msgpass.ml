@@ -251,6 +251,42 @@ let test_net_deliver_respects_crash () =
     (Msgpass.Net.pending net ~src:0 ~dst:1);
   Alcotest.(check (list string)) "nothing handled" [] !received
 
+(* The delivery path of a pooled network allocates nothing: eight
+   tokens circle an 8-node ring (each message waits about eight hops, so
+   the hop-latency bucketing walks several bounds), and once the rings
+   have grown, 10,000 scripted deliveries — each running a handler that
+   sends — leave the minor heap untouched. *)
+let test_net_deliver_allocation_free () =
+  let n = 8 in
+  let net =
+    Msgpass.Net.create_push ~n
+      ~nodes:(fun ~send pid ->
+        let next = (pid + 1) mod n in
+        {
+          Msgpass.Net.p_start = (fun () -> send ~dst:next pid);
+          p_message = (fun ~from:_ m -> send ~dst:next m);
+          p_leave = ignore;
+        })
+      ()
+  in
+  let deliver_round_robin k =
+    let refused = ref 0 in
+    for i = 0 to k - 1 do
+      let src = i mod n in
+      if not (Msgpass.Net.deliver net ~src ~dst:((src + 1) mod n)) then
+        incr refused
+    done;
+    !refused
+  in
+  ignore (deliver_round_robin 1_000 : int);
+  Msgpass.Net.reset net;
+  ignore (deliver_round_robin 1_000 : int);
+  let before = Gc.minor_words () in
+  let refused = deliver_round_robin 10_000 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every delivery lands" 0 refused;
+  Alcotest.(check (float 0.)) "minor words over 10,000 deliveries" 0. words
+
 let prop_net_random_fifo =
   (* Whatever channel order deliver_random picks, each channel's messages
      arrive in send order. *)
@@ -1764,6 +1800,8 @@ let () =
             test_net_scripted_delivery;
           Alcotest.test_case "delivery respects crashes" `Quick
             test_net_deliver_respects_crash;
+          Alcotest.test_case "pooled delivery allocates nothing" `Quick
+            test_net_deliver_allocation_free;
           QCheck_alcotest.to_alcotest prop_net_random_fifo;
           Alcotest.test_case "defer breaks FIFO (Faults only)" `Quick
             test_faults_defer_breaks_fifo;

@@ -142,6 +142,126 @@ let prop_json_roundtrip =
     (QCheck.make ~print:J.to_string tree)
     (fun v -> J.of_string (J.to_string v) = Ok v)
 
+(* The direct encoder against its oracles in test/oracles/events.ml:
+   the bytes must match exactly, since traces and flight dumps are
+   diffed byte for byte. *)
+
+let edge_int =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 1 ]);
+      (1, map (fun k -> int_of_string ("1" ^ String.make k '0')) (int_bound 18));
+      (2, map (fun n -> n - 1000) (int_bound 2000));
+      (3, int);
+    ]
+
+(* Names, categories and keys: quote, backslash, control bytes, DEL and
+   raw high bytes, whole UTF-8 sequences, and strings with nothing to
+   escape at all (the fast path). *)
+let wild_string =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (6, printable);
+        (2, oneofl [ '"'; '\\' ]);
+        (1, map Char.chr (int_bound 0x1f));
+        (1, return '\x7f');
+        (1, map Char.chr (int_range 0x80 0xff));
+      ]
+  in
+  frequency
+    [
+      (3, string_size (int_bound 16) ~gen:byte);
+      ( 2,
+        map
+          (String.map (fun c -> if c = '"' || c = '\\' then '_' else c))
+          (string_size (int_bound 24) ~gen:(map Char.chr (int_range 0x20 0xff)))
+      );
+      (1, oneofl [ ""; "caf\xc3\xa9"; "\xe2\x86\x92"; "\xf0\x9f\x98\x80 ok" ]);
+    ]
+
+let wild_json =
+  let open QCheck.Gen in
+  let float_gen =
+    frequency
+      [
+        (2, float);
+        (1, oneofl [ nan; infinity; neg_infinity; -0.; 0.1; 1e300; 5e-324 ]);
+      ]
+  in
+  fix
+    (fun self depth ->
+      let leaf =
+        oneof
+          [
+            return J.Null;
+            map (fun b -> J.Bool b) bool;
+            map (fun i -> J.Int i) edge_int;
+            map (fun f -> J.Float f) float_gen;
+            map (fun s -> J.Str s) wild_string;
+          ]
+      in
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun l -> J.List l) (list_size (int_bound 4) (self (depth - 1))));
+            ( 1,
+              map
+                (fun l -> J.Obj l)
+                (list_size (int_bound 4) (pair wild_string (self (depth - 1))))
+            );
+          ])
+    3
+
+let wild_event =
+  let open QCheck.Gen in
+  map
+    (fun ((kind, name, cat), (track, ts, args)) ->
+      { S.kind; name; cat; track; ts; args })
+    (pair
+       (triple (oneofl [ S.Begin; S.End; S.Instant ]) wild_string wild_string)
+       (triple edge_int edge_int
+          (list_size (int_bound 3) (pair wild_string wild_json))))
+
+let oracle_event ?dom e =
+  J.to_string
+    (match dom with
+    | None -> Oracles.Events.event_json e
+    | Some d -> J.Obj (("dom", J.Int d) :: Oracles.Events.event_fields e))
+
+let prop_add_event_matches_oracle =
+  QCheck.Test.make ~name:"Sink.add_event writes the oracle's bytes" ~count:1000
+    (QCheck.make
+       ~print:(fun (dom, e) -> oracle_event ?dom e)
+       QCheck.Gen.(pair (opt edge_int) wild_event))
+    (fun (dom, e) ->
+      let b = Buffer.create 64 in
+      (* a non-empty buffer: the encoder appends, it does not reset *)
+      Buffer.add_string b "prefix";
+      S.add_event ?dom b e;
+      Buffer.contents b = "prefix" ^ oracle_event ?dom e)
+
+let prop_add_int_matches_string_of_int =
+  QCheck.Test.make ~name:"Json.add_int writes string_of_int" ~count:2000
+    (QCheck.make ~print:string_of_int edge_int)
+    (fun i ->
+      let b = Buffer.create 24 in
+      J.add_int b i;
+      Buffer.contents b = string_of_int i)
+
+let prop_escape_matches_bytewise =
+  QCheck.Test.make ~name:"Json.escape_to matches the per-byte escaper"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") wild_string)
+    (fun s ->
+      let b = Buffer.create 32 in
+      J.escape_to b s;
+      Buffer.contents b = Oracles.Events.escape_bytewise s)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
 
@@ -364,6 +484,34 @@ let test_recorder_ring () =
   Alcotest.(check int) "clear empties the rings" 0
     (List.length (Obs.Recorder.events ()))
 
+(* A dump onto a full disk returns [None] instead of raising, whether
+   the write fails at close (a small dump, still in the channel buffer)
+   or midway (a full ring, past the channel buffer). *)
+let test_recorder_full_disk () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let dir = Filename.temp_dir "boundedreg-flight" "" in
+  let link = Filename.concat dir "flight-full.jsonl" in
+  Unix.symlink "/dev/full" link;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove link;
+      Sys.rmdir dir;
+      Obs.Recorder.clear ())
+  @@ fun () ->
+  List.iter
+    (fun (what, events) ->
+      Obs.Recorder.clear ();
+      for i = 1 to events do
+        Obs.Span.instant ~cat:"app" ~args:[ ("i", J.Int i) ] "tick"
+      done;
+      match Obs.Recorder.dump ~dir ~reason:"full" () with
+      | None -> ()
+      | Some path -> Alcotest.failf "%s dump to a full disk returned %s" what path
+      | exception e ->
+          Alcotest.failf "%s dump to a full disk raised %s" what
+            (Printexc.to_string e))
+    [ ("small", 3); ("full-ring", Obs.Recorder.capacity) ]
+
 (* Worker-domain events surface on the main domain: each parallel unit's
    captured events replay after join in unit-index order, re-stamped by
    the main domain's clock — the trace is identical at any --jobs. *)
@@ -431,9 +579,12 @@ let test_event_json_roundtrip () =
       args = [ ("src", J.Int 1); ("hops", J.Int 4) ];
     }
   in
-  match S.event_of_json (S.event_json e) with
-  | Some e' -> Alcotest.(check bool) "event roundtrip" true (e = e')
-  | None -> Alcotest.fail "event_of_json rejected its own output"
+  let b = Buffer.create 64 in
+  S.add_event b e;
+  match Result.map S.event_of_json (J.of_string (Buffer.contents b)) with
+  | Ok (Some e') -> Alcotest.(check bool) "event roundtrip" true (e = e')
+  | Ok None -> Alcotest.fail "event_of_json rejected add_event's output"
+  | Error err -> Alcotest.failf "add_event wrote unparseable JSON: %s" err
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end traces                                                   *)
@@ -598,6 +749,8 @@ let () =
           Alcotest.test_case "error-positions" `Quick
             test_json_error_positions;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_add_int_matches_string_of_int;
+          QCheck_alcotest.to_alcotest prop_escape_matches_bytewise;
         ] );
       ( "metrics",
         [
@@ -621,7 +774,10 @@ let () =
             test_span_closes_on_exception;
           Alcotest.test_case "event-roundtrip" `Quick
             test_event_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_add_event_matches_oracle;
           Alcotest.test_case "recorder-ring" `Quick test_recorder_ring;
+          Alcotest.test_case "recorder-full-disk" `Quick
+            test_recorder_full_disk;
           Alcotest.test_case "worker-drain" `Quick test_worker_event_drain;
         ] );
       ( "trace",
